@@ -94,16 +94,12 @@ def _add_accel_flags(sub) -> None:
                           "precomputation, batch verification, offload); "
                           "results and operation counts are identical "
                           "either way")
-    sub.add_argument("--no-batch", action="store_true",
-                     help="keep acceleration on but turn off room-scale "
-                          "batch verification of Phase III scans")
 
 
 def _apply_accel(args: argparse.Namespace) -> bool:
     """Configure repro.accel from the CLI flags; returns enabled state."""
     enabled = not getattr(args, "no_accel", False)
-    accel.configure(enabled=enabled, workers=getattr(args, "workers", None),
-                    batch=not getattr(args, "no_batch", False))
+    accel.configure(enabled=enabled, workers=getattr(args, "workers", None))
     return enabled
 
 

@@ -5,8 +5,8 @@ Three layers, all behaviour-preserving (see docs/PERFORMANCE.md):
 1. **Algorithmic** (:mod:`repro.accel.fixed_base`,
    :mod:`repro.accel.multi_exp`, :mod:`repro.accel.batch`) — fixed-base
    windowed precomputation for long-lived bases, term-by-term
-   multi-exponentiation that routes through those tables, and
-   room-scale batch verification of Phase III signature scans.
+   multi-exponentiation that routes through those tables, and the
+   room-wide :class:`ScanCache` for Phase III verify scans.
 2. **Parallel** (:mod:`repro.accel.pool`) — a ``ProcessPoolExecutor``
    worker pool with batch submit (``sign_many`` / ``verify_many`` /
    ``modexp_many``) and counter replay into the caller's books.
@@ -34,7 +34,7 @@ from repro.accel.multi_exp import multi_exp
 from repro.accel.pool import WorkerPool
 from repro.crypto import modmath as _modmath
 from repro.accel import batch  # noqa: E402  (needs fixed_base/state above)
-from repro.accel.batch import ScanCache, batch_verify, verify_room
+from repro.accel.batch import ScanCache, verify_room
 
 _modmath._install_accel_pow(lookup_pow)
 
@@ -43,7 +43,6 @@ __all__ = [
     "ScanCache",
     "WorkerPool",
     "batch",
-    "batch_verify",
     "bridge",
     "configure",
     "disable",
@@ -67,7 +66,9 @@ def configure(enabled: Optional[bool] = None, *,
               cache_size: Optional[int] = None,
               workers: Optional[int] = None,
               batch: Optional[bool] = None) -> Dict[str, object]:
-    """Set any subset of the subsystem switches; returns the snapshot."""
+    """Set any subset of the subsystem switches; returns the snapshot.
+    ``batch=True`` is accepted and ignored; ``batch=False`` raises
+    :class:`ValueError` (the ScanCache runs whenever accel is enabled)."""
     snap = state.configure(enabled=enabled, window=window,
                            cache_size=cache_size, workers=workers,
                            batch=batch)
@@ -117,7 +118,6 @@ def stats() -> Dict[str, object]:
         "enabled": snap["enabled"],
         "window": snap["window"],
         "workers": snap["workers"],
-        "batch": snap["batch"],
         "fixed_base": fixed_base.stats(),
         "pool": dict(_POOL.stats, workers=_POOL.workers,
                      usable=_POOL.usable) if _POOL is not None else None,

@@ -1,32 +1,26 @@
-"""Room-scale batch verification of Phase III signatures (layer 1c).
+"""Room-scale verification of Phase III signature scans (layer 1c).
 
 The handshake's Phase III conclude makes every party verify every other
 party's group signature: ``8·(m-1)`` ACJT multi-exps per party,
-``O(m^2)`` per room.  This module collapses that scan three ways, all of
-them behaviour- and counter-preserving:
+``O(m^2)`` per room.  Parties of the same group verify *identical*
+``(public key, member view, message, blob)`` tuples — the verdict cannot
+differ between them — so a :class:`ScanCache` shared by the room
+computes each distinct decrypt/verify once under a detached metrics
+recorder and replays the recorded counts into every later consumer's
+scopes.  Each party's books are bit-identical to having done the work
+itself (the E1 invariant survives because *charges* are duplicated even
+though *work* is not).  The engine
+(:func:`repro.core.handshake.run_handshake`) uses one cache per scan
+chunk whenever :mod:`repro.accel` is enabled; a worker pool only
+changes where the chunks run.
 
-1. **One verification per distinct signature.**  Parties of the same
-   group verify *identical* ``(public key, member view, message, blob)``
-   tuples — the verdict cannot differ between them.  A :class:`ScanCache`
-   computes each distinct decrypt/verify once under a detached metrics
-   recorder and replays the recorded counts into every later consumer's
-   scopes, so each party's books are bit-identical to having done the
-   work itself (the E1 invariant survives because *charges* are
-   duplicated even though *work* is not).
-2. **Shared fixed-base tables.**  Every large SPK exponent
-   (``s3``/``s_z``/``s_w3``) attaches to a long-lived base (the group
-   public key, the Pedersen pair, the accumulator value), so the whole
-   room's d-values evaluate out of a handful of shared
-   :mod:`repro.accel.fixed_base` tables — see :func:`warm_member` and
-   the per-epoch accumulator registration in :mod:`repro.gsig.acjt`
-   (the *warm-rejoin cache*: re-verifying after a rejoin at the same
-   ``acc_epoch`` reuses the table; any epoch change unregisters it).
-3. **Failure isolation.**  :func:`batch_verify` evaluates the shared
-   d-value equations exposed by :mod:`repro.gsig.acjt` /
-   :mod:`repro.gsig.kty`; if a signature's challenge does not match, it
-   falls back to the sequential ``verify`` (under a discarded recorder)
-   to pinpoint the verdict, so accept/reject outcomes are exactly the
-   sequential set even if the batch evaluation path ever diverges.
+Every large SPK exponent (``s3``/``s_z``/``s_w3``) attaches to a
+long-lived base (the group public key, the Pedersen pair, the
+accumulator value), so the cached verifications evaluate out of a
+handful of shared :mod:`repro.accel.fixed_base` tables — see
+:func:`warm_member` and the per-epoch accumulator registration in
+:mod:`repro.gsig.acjt` (re-verifying after a rejoin at the same
+``acc_epoch`` reuses the table; any epoch change unregisters it).
 
 Why not random-linear-combination batching?  The classic small-exponent
 batch test (combine ``N`` verification equations with random
@@ -39,20 +33,14 @@ no algebraic combination.  Converting the wire format to ``(d, s)`` form
 would enable RLC but change every transcript byte and message size,
 which the accel contract (seed books byte-identical with accel off)
 forbids.  So the honest win is amortization — shared tables, shared
-verdicts — not probabilistic screening; as a bonus, batch acceptance
-here equals sequential acceptance with probability 1, not ``1 - 2^-l``.
+verdicts — and cached acceptance equals sequential acceptance exactly.
 
 New counters (extras, outside the guarded books):
 
 * ``accel:batch-scan-hit`` / ``accel:batch-scan-miss`` — cache reuse;
-* ``accel:batch-verify`` — signatures that reached the d-value
-  evaluation in :func:`batch_verify`;
-* ``accel:batch-fallback`` — batch rejections re-checked sequentially;
-* ``accel:batch-divergence`` — fallbacks whose sequential verdict
-  *disagreed* with the batch evaluation (always 0 unless a future
-  evaluation strategy introduces a bug — this counter is the tripwire);
 * ``accel:batch-chunks`` — pool scan chunks shipped (one per worker
-  instead of one per party; see ``_phase3_full``).
+  instead of one per party; see ``_run_scans`` in
+  :mod:`repro.core.handshake`).
 """
 
 from __future__ import annotations
@@ -61,9 +49,7 @@ import threading
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro import metrics
-from repro.accel import fixed_base, state
-from repro.accel.multi_exp import multi_exp
-from repro.errors import ParameterError
+from repro.accel import fixed_base
 
 
 class ScanCache:
@@ -138,109 +124,6 @@ def warm_member(member) -> None:
     elif isinstance(credential, kty.KtyCredential):
         for base in (pk.a, pk.a0, pk.b, pk.g, pk.h, pk.y):
             fixed_base.register_base(base, pk.n)
-
-
-def warm_view(pk, member_view) -> None:
-    """Warm-rejoin cache entry: register the view's accumulator value so
-    d6's ``acc^c`` term (and nothing else about the epoch) is reusable
-    across every signature verified under this view.  Invalidation is
-    owned by :meth:`repro.gsig.acjt.AcjtCredential.apply_update`, which
-    unregisters the old value on any epoch change."""
-    acc_value = getattr(member_view, "acc_value", None)
-    if acc_value is not None:
-        fixed_base.register_base(acc_value, pk.n)
-
-
-# ---------------------------------------------------------------------------
-# Batch verification.
-# ---------------------------------------------------------------------------
-
-
-def _verify_one_acjt(pk, message: bytes, signature, member_view) -> bool:
-    from repro.gsig import acjt
-
-    if not acjt.spk_structural_ok(pk, signature, member_view):
-        return False
-    n = pk.n
-    d_values = tuple(
-        multi_exp(terms, n)
-        for terms in acjt.spk_d_terms(pk, signature, member_view)
-    )
-    metrics.bump("accel:batch-verify")
-    if acjt.spk_challenge(pk, member_view.acc_value, message,
-                          signature, d_values) == signature.challenge:
-        return True
-    # Batch rejection: pinpoint the verdict with the sequential verifier.
-    # Its charges are discarded (the batch evaluation above already paid
-    # the sequential price), so the books stay identical either way.
-    metrics.bump("accel:batch-fallback")
-    with metrics.detached():
-        authoritative = acjt.verify(pk, message, signature, member_view)
-    if authoritative:
-        metrics.bump("accel:batch-divergence")
-    return authoritative
-
-
-def _verify_one_kty(pk, message: bytes, signature, member_view,
-                    expected_shield: Optional[int]) -> bool:
-    from repro.gsig import kty
-
-    if not kty.spk_structural_ok(pk, signature, expected_shield):
-        return False
-    n = pk.n
-    d_values = tuple(
-        kty.eval_d_group(group, n)
-        for group in kty.spk_d_groups(pk, signature)
-    )
-    metrics.bump("accel:batch-verify")
-    if kty.spk_challenge(pk, message, signature, d_values) \
-            != signature.challenge:
-        metrics.bump("accel:batch-fallback")
-        with metrics.detached():
-            authoritative = kty.verify(pk, message, signature, member_view,
-                                       expected_shield=expected_shield)
-        if authoritative:
-            metrics.bump("accel:batch-divergence")
-        return authoritative
-    return kty.crl_ok(pk, signature, member_view)
-
-
-def batch_verify(pk, items: Iterable[Tuple[bytes, object]], member_view,
-                 expected_shield: Optional[int] = None) -> List[bool]:
-    """Verify a room's worth of ``(message, signature)`` pairs against
-    one member view; returns one verdict per item, in order.
-
-    The accept/reject set is exactly what per-item sequential ``verify``
-    returns, and so are the guarded counters (duplicates replay the
-    first evaluation's charges).  With the subsystem or the batch switch
-    off this *is* the sequential loop.
-    """
-    from repro.gsig import acjt, kty
-
-    items = list(items)
-    if isinstance(pk, acjt.AcjtPublicKey):
-        if expected_shield is not None:
-            raise ParameterError("ACJT has no self-distinction shield")
-        sequential = lambda m, s: acjt.verify(pk, m, s, member_view)  # noqa: E731
-        batched = lambda m, s: _verify_one_acjt(pk, m, s, member_view)  # noqa: E731
-    elif isinstance(pk, kty.KtyPublicKey):
-        sequential = lambda m, s: kty.verify(  # noqa: E731
-            pk, m, s, member_view, expected_shield=expected_shield)
-        batched = lambda m, s: _verify_one_kty(  # noqa: E731
-            pk, m, s, member_view, expected_shield)
-    else:
-        raise ParameterError(f"unknown public key type {type(pk).__name__}")
-
-    if not state.batch_enabled():
-        return [sequential(message, signature)
-                for message, signature in items]
-    warm_view(pk, member_view)
-    cache = ScanCache()
-    return [
-        cache.compute(("bv", message, signature),
-                      lambda m=message, s=signature: batched(m, s))
-        for message, signature in items
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,6 @@ from repro import metrics
 from repro.accel import fixed_base, state
 from repro.crypto.modmath import inverse
 
-#: Historical term-group width of the retired shared-ladder evaluation;
-#: kept as the canonical "how many terms does one ACJT d-value carry"
-#: sizing constant (tests and strategies still reference it).
-GROUP_SIZE = 4
-
-
 def multi_exp(pairs: Iterable[Tuple[int, int]], modulus: int) -> int:
     """``prod(base**exp for base, exp in pairs) % modulus``, counted as
     ``len(pairs)`` modular exponentiations.

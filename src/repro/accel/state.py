@@ -25,10 +25,6 @@ _WINDOW = 5
 _CACHE_SIZE = 64
 #: Worker count for pools/bridges; ``None`` means "ask os.cpu_count()".
 _WORKERS: Optional[int] = None
-#: Room-scale batch verification (:mod:`repro.accel.batch`).  On by
-#: default but only effective while the subsystem itself is enabled, so
-#: the accel-off books stay untouched.
-_BATCH = True
 
 
 def configure(enabled: Optional[bool] = None,
@@ -36,8 +32,15 @@ def configure(enabled: Optional[bool] = None,
               cache_size: Optional[int] = None,
               workers: Optional[int] = None,
               batch: Optional[bool] = None) -> Dict[str, object]:
-    """Update any subset of the switches; returns the resulting snapshot."""
-    global _ENABLED, _WINDOW, _CACHE_SIZE, _WORKERS, _BATCH
+    """Update any subset of the switches; returns the resulting snapshot.
+
+    ``batch`` is accepted only as ``True`` for older callers: room-scale
+    batch verification is not a switch any more, it runs whenever the
+    subsystem is enabled."""
+    global _ENABLED, _WINDOW, _CACHE_SIZE, _WORKERS
+    if batch is not None and not batch:
+        raise ValueError("batch verification cannot be turned off; "
+                         "disable the subsystem instead (enabled=False)")
     with _LOCK:
         if enabled is not None:
             _ENABLED = bool(enabled)
@@ -53,8 +56,6 @@ def configure(enabled: Optional[bool] = None,
             if int(workers) < 1:
                 raise ValueError("workers must be >= 1")
             _WORKERS = int(workers)
-        if batch is not None:
-            _BATCH = bool(batch)
         return snapshot()
 
 
@@ -65,7 +66,6 @@ def snapshot() -> Dict[str, object]:
             "window": _WINDOW,
             "cache_size": _CACHE_SIZE,
             "workers": _WORKERS,
-            "batch": _BATCH,
         }
 
 
@@ -79,12 +79,6 @@ def disable() -> None:
 
 def is_enabled() -> bool:
     return _ENABLED
-
-
-def batch_enabled() -> bool:
-    """True when room-scale batch verification should run: the subsystem
-    is on *and* the batch switch has not been turned off."""
-    return _ENABLED and _BATCH
 
 
 def window() -> int:

@@ -20,6 +20,12 @@ Phase III (Full handshake):
     the ciphertext spaces, so outsiders cannot distinguish failure from
     success (indistinguishability to eavesdroppers).
 
+Phase III is written once, as per-party functions (:func:`phase3_case1`,
+:func:`phase3_publish`, :func:`phase3_scan_job`, :func:`phase3_scan`,
+:func:`phase3_conclude`, :func:`conclude_without_tracing`); this engine
+and the networked :class:`repro.net.runner.HandshakeDevice` both call
+them.
+
 The engine is a synchronous local driver: it owns the broadcast rounds,
 attributes operation counts to per-party metric scopes, and supports a
 ``tamper`` hook on the DGKA rounds (the MITM experiments).  The
@@ -31,10 +37,12 @@ subset, exactly as the paper's extension describes.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro import metrics
 from repro.accel import batch as accel_batch
@@ -162,7 +170,6 @@ class _PartyRuntime:
         self.k_prime: Optional[bytes] = None
         self.tag: Optional[bytes] = None
         self.valid_tags: Set[int] = set()
-        self.published: Optional[Tuple[bytes, Tuple[int, int, int, int]]] = None
         self.is_decoy = False
 
     def scope(self) -> str:
@@ -187,10 +194,11 @@ def run_handshake(
     ``rngs`` gives every party its own generator (``rngs[i]`` drives party
     ``i``), which decouples the parties' draw sequences; with the single
     shared ``rng`` the interleaved draw order serializes them.  ``pool``
-    (a :class:`repro.accel.pool.WorkerPool`) computes the Phase III
-    publish/verify crypto for all parties concurrently and therefore
-    *requires* ``rngs`` — results, transcripts, and the guarded E1/E2
-    counters are bit-identical to the inline path for the same ``rngs``.
+    (a :class:`repro.accel.pool.WorkerPool`) is the executor for the
+    Phase III crypto: CASE 1 publications and the verify scans run on its
+    workers.  It therefore *requires* ``rngs`` — results, transcripts, and
+    the guarded E1/E2 counters are bit-identical to in-process execution
+    for the same ``rngs``.
     """
     policy = policy or HandshakePolicy()
     m = len(members)
@@ -226,7 +234,9 @@ def run_handshake(
                 _phase2_validate(parties, tags)
 
             if not policy.traceable:
-                return _outcomes_without_tracing(parties)
+                return [conclude_without_tracing(party.index, party.k_prime,
+                                                 party.valid_tags, party.dgka)
+                        for party in parties]
 
             with metrics.scope("phase:III"), obs.span("phase:III"):
                 return _phase3_full(parties, policy, pool)
@@ -271,12 +281,12 @@ def _phase1_preparation(parties: List[_PartyRuntime], tamper) -> None:
             if not party.dgka.acc:
                 continue
             k_star = party.dgka.session_key
-            group_key = _member_group_key(party.member, party.rng)
+            group_key = member_group_key(party.member, party.rng)
             party.k_prime = xor_keys(k_star, group_key)
     del m
 
 
-def _member_group_key(member, rng: random.Random) -> bytes:
+def member_group_key(member, rng: random.Random) -> bytes:
     """The member's CGKD key k_i; an outsider (no key) gets random bytes —
     it simply cannot produce matching MACs."""
     try:
@@ -326,130 +336,39 @@ def _phase2_validate(parties: List[_PartyRuntime], tags: Dict[int, bytes]) -> No
 
 
 # ---------------------------------------------------------------------------
-# Phase III.
+# Phase III, one party.  The engine below and the network device call
+# these; message receipts are counted by each transport, not here.
 # ---------------------------------------------------------------------------
 
 
-def _phase3_full(parties: List[_PartyRuntime], policy: HandshakePolicy,
-                 pool=None) -> List[HandshakeOutcome]:
-    m = len(parties)
-    all_indices = set(range(m))
-
-    def _case1(party: _PartyRuntime) -> bool:
-        return party.k_prime is not None and (
-            party.valid_tags == all_indices
-            or (policy.partial_success and len(party.valid_tags) > 1)
-        )
-
-    # Pool mode: CASE 1 payloads (the expensive sign+encrypt path) are
-    # computed concurrently, round-tripping each party's rng state so the
-    # draw sequence matches inline execution draw for draw; the workers'
-    # operation counts are replayed into each party's scope below.
-    prebuilt: Dict[int, Tuple[bool, bytes, Tuple[int, int, int, int]]] = {}
-    sids: Dict[int, bytes] = {}
-    if pool is not None:
-        jobs, job_parties = [], []
-        for party in parties:
-            if _case1(party):
-                # dgka.sid hashes the transcript on every access; derive
-                # it under the party's scope (where the inline publish
-                # path charges it) and reuse the bytes below.
-                with metrics.scope(party.scope()):
-                    sids[party.index] = _session_sid(party)
-                jobs.append((party.member, party.k_prime,
-                             sids[party.index], policy.self_distinction,
-                             party.rng.getstate()))
-                job_parties.append(party)
-        if jobs:
-            results = pool.run_batch(
-                _phase3_payload_task, jobs,
-                scopes=[p.scope() for p in job_parties],
-            )
-            for party, (is_decoy, theta, delta, rng_state) in zip(
-                    job_parties, results):
-                party.rng.setstate(rng_state)
-                prebuilt[party.index] = (is_decoy, theta, delta)
-
-    # Decide, per party, whether to publish real values or decoys (CASE 1
-    # vs CASE 2 of Fig. 6; the partial-success extension keeps CASE 1 for
-    # any party with at least one confirmed same-group peer).
-    publications: Dict[int, Tuple[bytes, Tuple[int, int, int, int]]] = {}
-    for party in parties:
-        with metrics.scope(party.scope()), \
-                obs.span("phase3:publish", party=party.index):
-            if party.index in prebuilt:
-                is_decoy, theta, delta = prebuilt[party.index]
-            elif _case1(party):
-                is_decoy, theta, delta = _phase3_payload(
-                    party.member, party.k_prime, _session_sid(party),
-                    policy.self_distinction, party.rng,
-                )
-            else:
-                theta, delta = _publish_decoy(party.member, party.rng)
-                is_decoy = True
-            publications[party.index] = (theta, delta)
-            party.is_decoy = is_decoy
-            metrics.count_message_sent()
-            metrics.bump(f"hs-sent:{party.index}")
-
-    entries = tuple(
-        HandshakeEntry(index=i, theta=publications[i][0], delta=publications[i][1])
-        for i in range(m)
+def phase3_case1(k_prime: Optional[bytes], valid_tags: Set[int], m: int,
+                 policy: HandshakePolicy) -> bool:
+    """CASE 1 of Fig. 6: every Phase II tag verified — or, under the
+    partial-success extension, at least one same-group peer's did."""
+    return k_prime is not None and (
+        valid_tags == set(range(m))
+        or (policy.partial_success and len(valid_tags) > 1)
     )
 
-    # Pool mode: the verification scans (m-1 signature verifies per party)
-    # also fan out.  The distinction shield is derived once, parent-side,
-    # under the party's scope — exactly where the inline path charges it.
-    # ``entries`` deliberately stays out of the job tuples: with batching
-    # on, the chunked transport pickles the room once per worker instead
-    # of once per party (O(m) instead of O(m^2) IPC bytes).
-    scans: Dict[int, Tuple[Optional[int], Set[int], Dict[int, int]]] = {}
-    if pool is not None:
-        jobs, job_parties, shields = [], [], []
-        for party in parties:
-            if party.k_prime is None or party.is_decoy:
-                continue
-            sid = sids[party.index]
-            with metrics.scope(party.scope()):
-                shield = (party.member.distinction_shield(sid)
-                          if policy.self_distinction else None)
-            jobs.append((party.member, party.k_prime, sid,
-                         set(party.valid_tags), party.index,
-                         shield, policy.self_distinction))
-            job_parties.append(party)
-            shields.append(shield)
-        if jobs:
-            if accel_state.batch_enabled():
-                results = _pooled_scan_chunked(pool, entries, jobs,
-                                               job_parties)
-            else:
-                results = pool.run_batch(
-                    _conclude_scan,
-                    [job[:3] + (entries,) + job[3:] for job in jobs],
-                    scopes=[p.scope() for p in job_parties],
-                )
-            for party, shield, (confirmed, tags_by_peer) in zip(
-                    job_parties, shields, results):
-                scans[party.index] = (shield, confirmed, tags_by_peer)
 
-    # Inline mode: one room-wide ScanCache deduplicates the decrypt and
-    # verify work across parties (each distinct signature is checked
-    # once; every party's books still record the full scan via replay).
-    scan_cache = (accel_batch.ScanCache()
-                  if pool is None and accel_state.batch_enabled() else None)
-    outcomes: List[HandshakeOutcome] = []
-    for party in parties:
-        with metrics.scope(party.scope()), \
-                obs.span("phase3:conclude", party=party.index):
-            outcomes.append(
-                _conclude(party, entries, publications, policy, all_indices,
-                          scans.get(party.index), cache=scan_cache)
-            )
-    return outcomes
+def phase3_publish(member, k_prime: Optional[bytes], sid: Optional[bytes],
+                   self_distinction: bool, rng: random.Random,
+                   ) -> Tuple[bool, bytes, Tuple[int, int, int, int]]:
+    """One party's publication ``(is_decoy, theta, delta)``.
 
-
-def _session_sid(party: _PartyRuntime) -> bytes:
-    return party.dgka.sid
+    CASE 1 callers pass the session id and get the real pair — or a decoy
+    when the member cannot produce one (an impostor that somehow passed
+    Phase II, a failing signer).  CASE 2 callers pass ``sid=None`` and get
+    a decoy."""
+    if sid is not None:
+        try:
+            theta, delta = _publish_real(member, k_prime, sid,
+                                         self_distinction, rng)
+            return False, theta, delta
+        except Exception:
+            pass
+    theta, delta = _publish_decoy(member, rng)
+    return True, theta, delta
 
 
 def _publish_real(member, k_prime: bytes, sid: bytes, self_distinction: bool,
@@ -482,33 +401,32 @@ def _publish_decoy(member,
     return theta, delta
 
 
-def _phase3_payload(member, k_prime: bytes, sid: bytes, self_distinction: bool,
-                    rng: random.Random,
-                    ) -> Tuple[bool, bytes, Tuple[int, int, int, int]]:
-    """One CASE 1 publication: ``(is_decoy, theta, delta)`` — the real
-    pair, or a decoy when the member's credentials cannot produce one
-    (e.g. an impostor who somehow passed Phase II)."""
-    try:
-        theta, delta = _publish_real(member, k_prime, sid, self_distinction, rng)
-        return False, theta, delta
-    except Exception:
-        theta, delta = _publish_decoy(member, rng)
-        return True, theta, delta
+@dataclass(frozen=True)
+class ScanJob:
+    """Everything one party's verify scan depends on.  Picklable, so a
+    worker process can run the scan."""
+
+    member: object
+    k_prime: bytes
+    sid: bytes
+    valid_tags: FrozenSet[int]
+    index: int
+    shield: Optional[int]       # common T7 base under self-distinction
+    self_distinction: bool
 
 
-def _phase3_payload_task(member, k_prime: bytes, sid: bytes,
-                         self_distinction: bool, rng_state: tuple,
-                         ) -> Tuple[bool, bytes, Tuple[int, int, int, int], tuple]:
-    """Worker-side payload build: reconstructs the party rng from its
-    state and hands the advanced state back, so the parent can continue
-    the sequence exactly where inline execution would have."""
-    accel_batch.warm_member(member)
-    rng = random.Random()
-    rng.setstate(rng_state)
-    is_decoy, theta, delta = _phase3_payload(
-        member, k_prime, sid, self_distinction, rng
-    )
-    return is_decoy, theta, delta, rng.getstate()
+def phase3_scan_job(member, k_prime: Optional[bytes], sid: Optional[bytes],
+                    valid_tags: Set[int], index: int, is_decoy: bool,
+                    policy: HandshakePolicy) -> Optional[ScanJob]:
+    """The party's verify scan, or ``None`` when it published a decoy or
+    never derived k' — such a party fails without looking at its peers.
+    Derives the distinction shield, so call it in the party's scope."""
+    if k_prime is None or is_decoy:
+        return None
+    shield = (member.distinction_shield(sid)
+              if policy.self_distinction else None)
+    return ScanJob(member, k_prime, sid, frozenset(valid_tags), index,
+                   shield, policy.self_distinction)
 
 
 def _try_decrypt(k_prime: bytes, theta: bytes) -> Optional[bytes]:
@@ -519,13 +437,10 @@ def _try_decrypt(k_prime: bytes, theta: bytes) -> Optional[bytes]:
         return None
 
 
-def _conclude_scan(member, k_prime: bytes, sid: bytes, entries,
-                   valid_tags: Set[int], own_index: int,
-                   shield: Optional[int], want_tags: bool,
-                   cache=None) -> Tuple[Set[int], Dict[int, int]]:
-    """The verification loop of Phase III conclude: which peers published
-    a decryptable theta carrying a valid group signature.  Module-level
-    and argument-complete so the worker pool can run it per party.
+def phase3_scan(job: ScanJob, entries,
+                cache=None) -> Tuple[Set[int], Dict[int, int]]:
+    """Which peers published a decryptable theta carrying a valid group
+    signature; returns ``(confirmed, distinction tag by peer)``.
 
     ``cache`` (a :class:`repro.accel.batch.ScanCache`) shares decrypt and
     verify results across the parties of one room: same-group parties
@@ -534,6 +449,7 @@ def _conclude_scan(member, k_prime: bytes, sid: bytes, entries,
     are replayed for everyone else.  Members without a
     ``verification_context`` (adversarial stand-ins) verify uncached —
     their verdicts may legitimately differ from everyone else's."""
+    member = job.member
     confirmed: Set[int] = set()
     tags_by_peer: Dict[int, int] = {}
     context = None
@@ -541,116 +457,54 @@ def _conclude_scan(member, k_prime: bytes, sid: bytes, entries,
         context_fn = getattr(member, "verification_context", None)
         context = context_fn() if context_fn is not None else None
     for entry in entries:
-        if entry.index == own_index:
-            continue
-        metrics.count_message_received()
-        if entry.index not in valid_tags:
+        if entry.index == job.index or entry.index not in job.valid_tags:
             continue
         if cache is None:
-            blob = _try_decrypt(k_prime, entry.theta)
+            blob = _try_decrypt(job.k_prime, entry.theta)
         else:
             blob = cache.compute(
-                ("dec", k_prime, entry.theta),
-                lambda k=k_prime, t=entry.theta: _try_decrypt(k, t))
+                ("dec", job.k_prime, entry.theta),
+                lambda t=entry.theta: _try_decrypt(job.k_prime, t))
         if blob is None:
             continue
-        message = signed_message(sid, entry.delta)
-        if cache is None or context is None:
-            ok = member.gsig_verify(message, blob, expected_shield=shield)
+        message = signed_message(job.sid, entry.delta)
+        if context is None:
+            ok = member.gsig_verify(message, blob, expected_shield=job.shield)
         else:
             ok = cache.compute(
-                ("ver", context, shield, message, blob),
-                lambda m=message, b=blob: member.gsig_verify(
-                    m, b, expected_shield=shield))
+                ("ver", context, job.shield, message, blob),
+                lambda msg=message, b=blob: member.gsig_verify(
+                    msg, b, expected_shield=job.shield))
         if not ok:
             continue
-        if want_tags:
-            signature = wire.signature_from_bytes(blob)
-            tags_by_peer[entry.index] = signature.t6
+        if job.self_distinction:
+            tags_by_peer[entry.index] = wire.signature_from_bytes(blob).t6
         confirmed.add(entry.index)
     return confirmed, tags_by_peer
 
 
-def _scan_chunk_task(entries, jobs):
-    """Worker-side chunk of conclude scans: several parties' loops over
-    one pickled copy of the room's entries, sharing one
-    :class:`~repro.accel.batch.ScanCache`.
-
-    Each party's scan runs under its own detached recorder so the parent
-    can replay its counts into the right scope; the shared cache means
-    a chunk does each distinct decrypt/verify once while every party's
-    replayed books still show the full per-party cost."""
-    out = []
-    for (member, k_prime, sid, valid_tags, own_index,
-         shield, want_tags) in jobs:
-        accel_batch.warm_member(member)
-    cache = accel_batch.ScanCache()
-    for (member, k_prime, sid, valid_tags, own_index,
-         shield, want_tags) in jobs:
-        with metrics.detached() as rec:
-            result = _conclude_scan(member, k_prime, sid, entries,
-                                    valid_tags, own_index, shield,
-                                    want_tags, cache=cache)
-        out.append((result, metrics.replayable_totals(rec)))
-    return out
-
-
-def _pooled_scan_chunked(pool, entries, jobs, job_parties):
-    """Ship the conclude scans as one contiguous chunk per worker
-    (instead of one task per party), then replay each party's recorded
-    counters under its own scope.  Transport cost drops from m pickles
-    of the m-entry room to ``min(workers, m)``."""
-    count = max(1, min(pool.workers, len(jobs)))
-    base, extra = divmod(len(jobs), count)
-    chunks, start = [], 0
-    for i in range(count):
-        size = base + (1 if i < extra else 0)
-        if size:
-            chunks.append(jobs[start:start + size])
-            start += size
-    metrics.bump("accel:batch-chunks", len(chunks))
-    chunk_results = pool.run_batch(
-        _scan_chunk_task, [(entries, chunk) for chunk in chunks])
-    flat = [item for chunk in chunk_results for item in chunk]
-    results = []
-    for party, (result, counts) in zip(job_parties, flat):
-        with metrics.scope(party.scope()):
-            metrics.replay(counts)
-        results.append(result)
-    return results
-
-
-def _conclude(party: _PartyRuntime, entries, publications,
-              policy: HandshakePolicy, all_indices: Set[int],
-              scan: Optional[Tuple[Optional[int], Set[int], Dict[int, int]]] = None,
-              cache=None) -> HandshakeOutcome:
-    outcome = HandshakeOutcome(index=party.index, success=False,
-                               k_prime=party.k_prime)
-    if party.dgka.acc:
+def phase3_conclude(index: int, k_prime: Optional[bytes], sid: Optional[bytes],
+                    entries, policy: HandshakePolicy, job: Optional[ScanJob],
+                    scan: Optional[Tuple[Set[int], Dict[int, int]]],
+                    ) -> HandshakeOutcome:
+    """One party's verdict from its scan: self-distinction, success and
+    the session key.  ``sid`` is ``None`` for a party whose DGKA never
+    accepted (it gets no transcript); ``job`` is the party's
+    :func:`phase3_scan_job` and ``scan`` the :func:`phase3_scan` result
+    (both ``None`` for a party that fails without scanning)."""
+    outcome = HandshakeOutcome(index=index, success=False, k_prime=k_prime)
+    if sid is not None:
         # The published pairs are public regardless of success — what an
         # eavesdropper (or the tracing authority) gets to see.
-        outcome.transcript = HandshakeTranscript(
-            sid=_session_sid(party), entries=entries
-        )
-    if party.k_prime is None or party.is_decoy:
+        outcome.transcript = HandshakeTranscript(sid=sid, entries=entries)
+    if job is None:
         return outcome
-    member = party.member
-    sid = _session_sid(party)
-    if scan is not None:
-        shield, confirmed, tags_by_peer = scan
-    else:
-        shield = (member.distinction_shield(sid)
-                  if policy.self_distinction else None)
-        confirmed, tags_by_peer = _conclude_scan(
-            member, party.k_prime, sid, entries, party.valid_tags,
-            party.index, shield, policy.self_distinction, cache=cache,
-        )
-
+    confirmed, tags_by_peer = scan
     outcome.confirmed_peers = confirmed
 
     if policy.self_distinction:
-        own_tag = _own_distinction_tag(member, shield)
-        seen: Dict[int, int] = {party.index: own_tag}
+        own_tag = job.member.credential.distinction_tag(job.shield)
+        seen: Dict[int, int] = {index: own_tag}
         duplicates: Set[int] = set()
         for peer, tag in tags_by_peer.items():
             for other, other_tag in seen.items():
@@ -660,34 +514,170 @@ def _conclude(party: _PartyRuntime, entries, publications,
         outcome.distinct = not duplicates
         outcome.duplicate_indices = duplicates
 
-    full = confirmed == (all_indices - {party.index})
+    full = confirmed == set(range(len(entries))) - {index}
     outcome.success = full and (outcome.distinct is not False)
     if outcome.success or (policy.partial_success and confirmed):
-        outcome.session_key = hashing.kdf(
-            party.k_prime + sid, "gcd-secure-channel"
-        )
+        outcome.session_key = _session_key(k_prime, sid)
     return outcome
 
 
-def _own_distinction_tag(member, shield: int) -> int:
-    return member.credential.distinction_tag(shield)
-
-
-def _outcomes_without_tracing(parties: List[_PartyRuntime]) -> List[HandshakeOutcome]:
+def conclude_without_tracing(index: int, k_prime: Optional[bytes],
+                             valid_tags: Set[int],
+                             dgka: DgkaParty) -> HandshakeOutcome:
     """Phases I-II only (the 'traceability not required' tailoring)."""
-    all_indices = set(range(len(parties)))
-    outcomes = []
+    success = k_prime is not None and valid_tags == set(range(dgka.m))
+    outcome = HandshakeOutcome(index=index, success=success,
+                               confirmed_peers=set(valid_tags) - {index})
+    if success:
+        outcome.session_key = _session_key(k_prime, dgka.sid)
+    return outcome
+
+
+def _session_key(k_prime: bytes, sid: bytes) -> bytes:
+    return hashing.kdf(k_prime + sid, "gcd-secure-channel")
+
+
+# ---------------------------------------------------------------------------
+# Phase III, the engine's room.
+# ---------------------------------------------------------------------------
+
+
+def _phase3_full(parties: List[_PartyRuntime], policy: HandshakePolicy,
+                 pool=None) -> List[HandshakeOutcome]:
+    m = len(parties)
+    publish_sids: Dict[int, bytes] = {}
     for party in parties:
-        confirmed = set(party.valid_tags) - {party.index}
-        success = (
-            party.k_prime is not None and party.valid_tags == all_indices
-        )
-        outcome = HandshakeOutcome(
-            index=party.index, success=success, confirmed_peers=confirmed
-        )
-        if success:
-            outcome.session_key = hashing.kdf(
-                party.k_prime + _session_sid(party), "gcd-secure-channel"
-            )
-        outcomes.append(outcome)
+        if phase3_case1(party.k_prime, party.valid_tags, m, policy):
+            with metrics.scope(party.scope()):
+                publish_sids[party.index] = party.dgka.sid
+    prebuilt = (_pooled_publications(pool, parties, publish_sids, policy)
+                if pool is not None else {})
+
+    published = []
+    for party in parties:
+        with metrics.scope(party.scope()), \
+                obs.span("phase3:publish", party=party.index):
+            if party.index in prebuilt:
+                is_decoy, theta, delta = prebuilt[party.index]
+            else:
+                is_decoy, theta, delta = phase3_publish(
+                    party.member, party.k_prime,
+                    publish_sids.get(party.index), policy.self_distinction,
+                    party.rng)
+            party.is_decoy = is_decoy
+            published.append(HandshakeEntry(index=party.index, theta=theta,
+                                            delta=delta))
+            metrics.count_message_sent()
+            metrics.bump(f"hs-sent:{party.index}")
+    entries = tuple(published)
+
+    sids: List[Optional[bytes]] = []
+    jobs: List[Optional[ScanJob]] = []
+    for party in parties:
+        with metrics.scope(party.scope()):
+            sid = party.dgka.sid if party.dgka.acc else None
+            sids.append(sid)
+            jobs.append(phase3_scan_job(
+                party.member, party.k_prime, sid, party.valid_tags,
+                party.index, party.is_decoy, policy))
+    with obs.span("phase3:scan"):
+        scans = _run_scans(pool, entries,
+                           [job for job in jobs if job is not None])
+
+    outcomes: List[HandshakeOutcome] = []
+    for party, sid, job in zip(parties, sids, jobs):
+        with metrics.scope(party.scope()), \
+                obs.span("phase3:conclude", party=party.index):
+            # The engine books the m-1 Phase III receipts only for a party
+            # that reads them in its scan (the E1/E2 books depend on it).
+            if job is not None:
+                for _ in range(m - 1):
+                    metrics.count_message_received()
+            outcomes.append(phase3_conclude(
+                party.index, party.k_prime, sid, entries, policy, job,
+                scans.get(party.index)))
     return outcomes
+
+
+def _pooled_publications(pool, parties: List[_PartyRuntime],
+                         sids: Dict[int, bytes], policy: HandshakePolicy):
+    """The CASE 1 publications (the expensive encrypt+sign) computed
+    concurrently on ``pool``.  Each party's rng state round-trips through
+    its job, so the draw sequence matches in-process execution draw for
+    draw; the workers' counts are replayed into each party's scope."""
+    real = [party for party in parties if party.index in sids]
+    results = pool.run_batch(
+        _publish_task,
+        [(party.member, party.k_prime, sids[party.index],
+          policy.self_distinction, party.rng.getstate()) for party in real],
+        scopes=[party.scope() for party in real],
+    )
+    prebuilt = {}
+    for party, (publication, rng_state) in zip(real, results):
+        party.rng.setstate(rng_state)
+        prebuilt[party.index] = publication
+    return prebuilt
+
+
+def _publish_task(member, k_prime: bytes, sid: bytes, self_distinction: bool,
+                  rng_state: tuple):
+    """Worker-side :func:`phase3_publish` on a rng rebuilt from its state;
+    returns the publication and the advanced state."""
+    accel_batch.warm_member(member)
+    rng = random.Random()
+    rng.setstate(rng_state)
+    publication = phase3_publish(member, k_prime, sid, self_distinction, rng)
+    return publication, rng.getstate()
+
+
+def _run_scans(pool, entries, jobs: List[ScanJob]
+               ) -> Dict[int, Tuple[Set[int], Dict[int, int]]]:
+    """Every scanning party's verify scan, as one in-process chunk or as
+    ``min(workers, m)`` chunks on ``pool``.  Either way each party's
+    recorded counts are replayed into its own scope, so the books do not
+    depend on the executor.  Keyed by party index."""
+    if not jobs:
+        return {}
+    use_cache = accel_state.is_enabled()
+    if pool is None:
+        chunk_results = [_scan_chunk(entries, jobs, use_cache)]
+    else:
+        chunks = _split(jobs, pool.workers)
+        metrics.bump("accel:batch-chunks", len(chunks))
+        chunk_results = pool.run_batch(
+            _scan_chunk, [(entries, chunk, use_cache) for chunk in chunks])
+    scans = {}
+    for job, (result, counts) in zip(
+            jobs, itertools.chain.from_iterable(chunk_results)):
+        with metrics.scope(f"hs:{job.index}"):
+            metrics.replay(counts)
+        scans[job.index] = result
+    return scans
+
+
+def _split(jobs: List[ScanJob], workers: int) -> List[List[ScanJob]]:
+    """``min(workers, len(jobs))`` contiguous chunks of near-equal size."""
+    count = max(1, min(workers, len(jobs)))
+    base, extra = divmod(len(jobs), count)
+    chunks, start = [], 0
+    for i in range(count):
+        size = base + (1 if i < extra else 0)
+        chunks.append(jobs[start:start + size])
+        start += size
+    return chunks
+
+
+def _scan_chunk(entries, jobs: List[ScanJob], use_cache: bool):
+    """Several parties' scans over one copy of the room's entries, sharing
+    one :class:`~repro.accel.batch.ScanCache` when ``use_cache``.  Each
+    scan runs under its own detached recorder and its counts come back
+    with its result for the caller to replay."""
+    for job in jobs:
+        accel_batch.warm_member(job.member)
+    cache = accel_batch.ScanCache() if use_cache else None
+    out = []
+    for job in jobs:
+        with metrics.detached() as rec:
+            result = phase3_scan(job, entries, cache)
+        out.append((result, metrics.replayable_totals(rec)))
+    return out

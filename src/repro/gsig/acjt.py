@@ -603,8 +603,7 @@ def spk_structural_ok(pk: AcjtPublicKey, signature: AcjtSignature,
                       member_view: AcjtMemberView) -> bool:
     """The cheap Verify prechecks, in their exact original order: epoch
     match, response-interval checks, and range/coprimality of the group
-    elements.  Shared by :func:`verify` and the room-scale batch path in
-    :mod:`repro.accel.batch`."""
+    elements."""
     lengths = pk.lengths
     n = pk.n
     eps, k = lengths.epsilon, lengths.k
@@ -634,12 +633,11 @@ def spk_d_terms(pk: AcjtPublicKey, signature: AcjtSignature,
     term tuples: ``d_i = prod(base**exp) mod n`` for each tuple, in
     challenge-hash order.
 
-    Exposed (rather than inlined in :func:`verify`) so
-    :mod:`repro.accel.batch` can evaluate a whole room's signatures with
-    shared fixed-base tables — note how every large exponent
-    (``s3``/``s_z``/``s_w3``, ``s2_hat``) attaches to a *fixed* base
-    (``a, y, g, h, ped_g, ped_h``, the accumulator value) while the
-    per-signature bases only carry the short ``c`` and ``s1_hat``.
+    Every large exponent (``s3``/``s_z``/``s_w3``, ``s2_hat``) attaches
+    to a *fixed* base (``a, y, g, h, ped_g, ped_h``, the accumulator
+    value), which is what lets shared fixed-base tables evaluate a whole
+    room's signatures; the per-signature bases only carry the short
+    ``c`` and ``s1_hat``.
     """
     c = signature.challenge
     lengths = pk.lengths

@@ -499,7 +499,7 @@ def spk_structural_ok(pk: KtyPublicKey, signature: KtySignature,
                       expected_shield: Optional[int] = None) -> bool:
     """The cheap Verify prechecks, in their exact original order: shield
     match, response-interval checks, and range/coprimality of the seven
-    T values.  Shared by :func:`verify` and :mod:`repro.accel.batch`."""
+    T values."""
     lengths = pk.lengths
     n = pk.n
     eps, k_len = lengths.epsilon, lengths.k

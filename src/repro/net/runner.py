@@ -7,8 +7,11 @@ over the :class:`repro.net.simulator.Network`: each participant is a
 :class:`HandshakeDevice` that buffers broadcasts, advances through the DGKA
 rounds as messages arrive (in any interleaving the FIFO network produces),
 and publishes its Phase II tag and Phase III pair when — and only when —
-its local state permits.  An eavesdropper tap or MITM interceptor on the
-network sees exactly the paper's wire format.
+its local state permits.  What a device publishes and concludes in Phase
+III comes from the engine's per-party functions
+(:func:`repro.core.handshake.phase3_publish` and friends), so the two
+drivers share one implementation.  An eavesdropper tap or MITM
+interceptor on the network sees exactly the paper's wire format.
 
 The device driver supports all-speak DGKA protocols (Burmester-Desmedt,
 the default for both instantiations); chain protocols like GDH.2 have
@@ -27,17 +30,21 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import metrics
 from repro.obs import spans as obs
-from repro.core import wire
 from repro.core.handshake import (
     HandshakeOutcome,
     HandshakePolicy,
-    _nominal_signature_length,
+    conclude_without_tracing,
+    member_group_key,
+    phase3_case1,
+    phase3_conclude,
+    phase3_publish,
+    phase3_scan,
+    phase3_scan_job,
     xor_keys,
 )
-from repro.core.transcript import HandshakeEntry, HandshakeTranscript, signed_message
-from repro.crypto import hashing, mac, symmetric
-from repro.crypto.cramer_shoup import CramerShoup
-from repro.errors import DecryptionError, ProtocolError
+from repro.core.transcript import HandshakeEntry
+from repro.crypto import mac
+from repro.errors import ProtocolError
 from repro.net.simulator import Message, Network, Party
 
 
@@ -89,6 +96,7 @@ class HandshakeDevice(Party):
         self._valid_tags: set = set()
         self._entries: Dict[int, HandshakeEntry] = {}
         self._published_phase3 = False
+        self._is_decoy = False
         self.outcome: Optional[HandshakeOutcome] = None
         # Span bookkeeping: phase boundaries end inside message callbacks,
         # so the device holds manual spans with explicit parents instead
@@ -171,11 +179,8 @@ class HandshakeDevice(Party):
         self._phase_span.end()
         self._phase_span = obs.start_span("phase:II", parent=self._root_span,
                                           party=self.index)
-        try:
-            group_key = self.member.group_key
-        except Exception:
-            group_key = self.rng.getrandbits(256).to_bytes(32, "big")
-        self._k_prime = xor_keys(self.dgka.session_key, group_key)
+        self._k_prime = xor_keys(self.dgka.session_key,
+                                 member_group_key(self.member, self.rng))
         tag = mac.mac(self._k_prime, self.dgka.unique_string(self.index),
                       self.index)
         self._tags[self.index] = tag
@@ -203,48 +208,23 @@ class HandshakeDevice(Party):
         self._phase_span.end()
         if not self.policy.traceable:
             self._phase_span = obs.NOOP_SPAN
-            self._conclude_without_phase3()
+            self.outcome = conclude_without_tracing(
+                self.index, self._k_prime, self._valid_tags, self.dgka)
+            self._root_span.end(success=self.outcome.success)
             return
         self._phase_span = obs.start_span("phase:III",
                                           parent=self._root_span,
                                           party=self.index)
-        all_indices = set(range(self.plan.m))
-        case1 = self._valid_tags == all_indices or (
-            self.policy.partial_success and len(self._valid_tags) > 1
-        )
-        if case1:
-            try:
-                theta, delta = self._make_real_pair()
-            except Exception:
-                theta, delta = self._make_decoy_pair()
-        else:
-            theta, delta = self._make_decoy_pair()
-        entry = HandshakeEntry(index=self.index, theta=theta, delta=delta)
-        self._entries[self.index] = entry
+        case1 = phase3_case1(self._k_prime, self._valid_tags, self.plan.m,
+                             self.policy)
+        self._is_decoy, theta, delta = phase3_publish(
+            self.member, self._k_prime, self.dgka.sid if case1 else None,
+            self.policy.self_distinction, self.rng)
+        self._entries[self.index] = HandshakeEntry(index=self.index,
+                                                   theta=theta, delta=delta)
         self.broadcast(("phase3", self.plan.session_id, self.index,
                         theta, delta), channel=self.plan.channel)
         self._maybe_conclude()
-
-    def _make_real_pair(self):
-        sid = self.dgka.sid
-        pk_t = self.member.info.tracing_public_key
-        delta = CramerShoup.encrypt_bytes(pk_t, self._k_prime, self.rng).as_tuple()
-        shield = (self.member.distinction_shield(sid)
-                  if self.policy.self_distinction else None)
-        blob = self.member.gsig_sign(signed_message(sid, delta), self.rng,
-                                     shield=shield)
-        theta = symmetric.encrypt(self._k_prime, blob, self.rng)
-        return theta, delta
-
-    def _make_decoy_pair(self):
-        try:
-            length = _nominal_signature_length(self.member)
-            pk_t = self.member.info.tracing_public_key
-            delta = CramerShoup.random_ciphertext(pk_t, self.rng).as_tuple()
-        except Exception:
-            length = 512
-            delta = tuple(self.rng.getrandbits(512) for _ in range(4))
-        return symmetric.random_ciphertext(length, self.rng), delta
 
     def _maybe_conclude(self) -> None:
         if self.outcome is not None or not self._published_phase3:
@@ -253,63 +233,14 @@ class HandshakeDevice(Party):
             return
         sid = self.dgka.sid
         entries = tuple(self._entries[i] for i in range(self.plan.m))
-        outcome = HandshakeOutcome(index=self.index, success=False,
-                                   k_prime=self._k_prime)
-        outcome.transcript = HandshakeTranscript(sid=sid, entries=entries)
-        shield = (self.member.distinction_shield(sid)
-                  if self.policy.self_distinction else None)
-        confirmed = set()
-        tags_by_peer: Dict[int, int] = {}
-        for entry in entries:
-            if entry.index == self.index or entry.index not in self._valid_tags:
-                continue
-            try:
-                blob = symmetric.decrypt(self._k_prime, entry.theta)
-            except DecryptionError:
-                continue
-            if not self.member.gsig_verify(
-                signed_message(sid, entry.delta), blob, expected_shield=shield
-            ):
-                continue
-            if self.policy.self_distinction:
-                tags_by_peer[entry.index] = wire.signature_from_bytes(blob).t6
-            confirmed.add(entry.index)
-        outcome.confirmed_peers = confirmed
-        if self.policy.self_distinction:
-            own = self.member.credential.distinction_tag(shield)
-            seen = {self.index: own}
-            duplicates: set = set()
-            for peer, tag in tags_by_peer.items():
-                for other, other_tag in seen.items():
-                    if tag == other_tag:
-                        duplicates.update({peer, other})
-                seen[peer] = tag
-            outcome.distinct = not duplicates
-            outcome.duplicate_indices = duplicates
-        full = confirmed == set(range(self.plan.m)) - {self.index}
-        outcome.success = full and (outcome.distinct is not False)
-        if outcome.success or (self.policy.partial_success and confirmed):
-            outcome.session_key = hashing.kdf(
-                self._k_prime + sid, "gcd-secure-channel"
-            )
-        self.outcome = outcome
+        job = phase3_scan_job(self.member, self._k_prime, sid,
+                              self._valid_tags, self.index, self._is_decoy,
+                              self.policy)
+        scan = phase3_scan(job, entries) if job is not None else None
+        self.outcome = phase3_conclude(self.index, self._k_prime, sid,
+                                       entries, self.policy, job, scan)
         self._phase_span.end()
-        self._root_span.end(success=outcome.success)
-
-    def _conclude_without_phase3(self) -> None:
-        all_peers = set(range(self.plan.m)) - {self.index}
-        confirmed = set(self._valid_tags) - {self.index}
-        outcome = HandshakeOutcome(
-            index=self.index,
-            success=confirmed == all_peers,
-            confirmed_peers=confirmed,
-        )
-        if outcome.success:
-            outcome.session_key = hashing.kdf(
-                self._k_prime + self.dgka.sid, "gcd-secure-channel"
-            )
-        self.outcome = outcome
-        self._root_span.end(success=outcome.success)
+        self._root_span.end(success=self.outcome.success)
 
 
 def run_handshake_over_network(

@@ -1,14 +1,17 @@
-"""Room-scale batch verification: acceptance-set and counter parity.
+"""Room-scale scan verification: acceptance-set and counter parity.
 
-The contract of :mod:`repro.accel.batch` is exact: ``batch_verify``
-accepts precisely the signatures the sequential ``verify`` accepts —
-for valid rooms, forged signature fields, stale accumulator epochs, and
-tampered messages — and the guarded counter books are identical, with
-cache reuse visible only through the new ``accel:batch-*`` extras.
+The engine's Phase III verify scan (:func:`repro.core.handshake.phase3_scan`)
+runs with a room-wide :class:`~repro.accel.batch.ScanCache` whenever
+acceleration is enabled.  The contract is exact: the cached scan confirms
+precisely the peers the uncached scan confirms — for valid rooms, forged
+signature fields, stale accumulator epochs, tampered messages and
+duplicated publications — and the guarded counter books are identical,
+with cache reuse visible only through the ``accel:batch-*`` extras.
 """
 
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import List, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +19,11 @@ from hypothesis import strategies as st
 
 from repro import accel, metrics
 from repro.accel import batch, fixed_base, state
-from repro.core.handshake import run_handshake
+from repro.core import wire
+from repro.core.handshake import ScanJob, phase3_scan, run_handshake
 from repro.core.scheme1 import scheme1_policy
-from repro.errors import ParameterError
-from repro.gsig import acjt, kty
+from repro.core.transcript import HandshakeEntry, signed_message
+from repro.crypto import symmetric
 
 ACJT_ACTIONS = ("valid", "forge-t1", "forge-challenge", "forge-s1",
                 "wrong-epoch", "tamper-message")
@@ -29,73 +33,129 @@ KTY_ACTIONS = ("valid", "forge-t1", "forge-challenge", "forge-se",
 
 @pytest.fixture(autouse=True)
 def _clean_accel_state():
-    state.configure(enabled=False, window=5, cache_size=64, batch=True)
+    state.configure(enabled=False, window=5, cache_size=64)
     fixed_base.clear()
     fixed_base.configure_cache(64)
     yield
-    state.configure(enabled=False, window=5, cache_size=64, batch=True)
+    state.configure(enabled=False, window=5, cache_size=64)
     fixed_base.clear()
     fixed_base.configure_cache(64)
 
 
-@pytest.fixture(scope="module")
-def acjt_room(acjt_world):
-    """Three pre-signed (message, signature) pairs plus the verifier view
-    (signing dominates runtime; tampering per example is cheap)."""
-    rng = random.Random(7321)
-    pk = acjt_world.manager.public_key
-    view = acjt_world.manager.member_view()
-    items = []
-    for name in ("alice", "bob", "carol"):
-        message = f"room:{name}".encode()
-        items.append((message,
-                      acjt_world.credentials[name].sign(message, rng)))
-    return pk, view, items
+@dataclass
+class SignedRoom:
+    """Every member but the last signed its Phase III message; all of
+    them hold the same k' (one group)."""
+
+    members: list
+    k_prime: bytes
+    sid: bytes
+    publications: List[Tuple[tuple, object]]     # (delta, signature)
+
+
+def _signed_room(members, seed) -> SignedRoom:
+    """Signing dominates runtime, so rooms are signed once per module and
+    tampered per example."""
+    rng = random.Random(seed)
+    k_prime = rng.getrandbits(256).to_bytes(32, "big")
+    sid = rng.getrandbits(256).to_bytes(32, "big")
+    publications = []
+    for member in members[:-1]:
+        delta = tuple(rng.getrandbits(64) for _ in range(4))
+        signature = member.credential.sign(signed_message(sid, delta), rng)
+        publications.append((delta, signature))
+    return SignedRoom(members, k_prime, sid, publications)
 
 
 @pytest.fixture(scope="module")
-def kty_room(kty_world):
-    rng = random.Random(7322)
-    pk = kty_world.manager.public_key
-    view = kty_world.manager.member_view()
-    items = []
-    for name in ("alice", "bob", "carol"):
-        message = f"room:{name}".encode()
-        items.append((message,
-                      kty_world.credentials[name].sign(message, rng)))
-    return pk, view, items
+def acjt_room(scheme1_world):
+    return _signed_room(
+        scheme1_world.lineup("alice", "bob", "carol", "dave"), 7321)
 
 
-def _tamper_acjt(pk, message, signature, action):
+@pytest.fixture(scope="module")
+def kty_room(scheme2_world):
+    return _signed_room(
+        scheme2_world.lineup("xavier", "yvonne", "zelda"), 7322)
+
+
+def _tamper(room, delta, signature, action):
+    n = room.members[0].info.gsig_public_key.n
     if action == "forge-t1":
-        return message, replace(signature, t1=(signature.t1 * 2) % pk.n)
+        return delta, replace(signature, t1=(signature.t1 * 2) % n)
     if action == "forge-challenge":
-        return message, replace(signature, challenge=signature.challenge ^ 1)
+        return delta, replace(signature, challenge=signature.challenge ^ 1)
     if action == "forge-s1":
-        return message, replace(signature, s1=signature.s1 + 1)
-    if action == "wrong-epoch":
-        return message, replace(signature, acc_epoch=signature.acc_epoch + 1)
-    if action == "tamper-message":
-        return message + b"!", signature
-    return message, signature
-
-
-def _tamper_kty(pk, message, signature, action):
-    if action == "forge-t1":
-        return message, replace(signature, t1=(signature.t1 * 2) % pk.n)
-    if action == "forge-challenge":
-        return message, replace(signature, challenge=signature.challenge ^ 1)
+        return delta, replace(signature, s1=signature.s1 + 1)
     if action == "forge-se":
-        return message, replace(signature, s_e=signature.s_e + 1)
+        return delta, replace(signature, s_e=signature.s_e + 1)
+    if action == "wrong-epoch":
+        return delta, replace(signature, acc_epoch=signature.acc_epoch + 1)
     if action == "tamper-message":
-        return message + b"!", signature
-    return message, signature
+        return (delta[0] + 1,) + delta[1:], signature
+    return delta, signature
+
+
+def _entries(room, actions, duplicate=False):
+    """The room's published entries after ``actions``; with ``duplicate``
+    an extra entry re-publishes entry 0 under a fresh index."""
+    rng = random.Random(99)
+    entries = []
+    for index, ((delta, signature), action) in enumerate(
+            zip(room.publications, actions)):
+        delta, signature = _tamper(room, delta, signature, action)
+        blob = wire.signature_to_bytes(signature)
+        entries.append(HandshakeEntry(
+            index=index, theta=symmetric.encrypt(room.k_prime, blob, rng),
+            delta=delta))
+    if duplicate:
+        entries.append(replace(entries[0], index=len(room.members)))
+    return tuple(entries)
+
+
+def _job(room, scanner, entries):
+    member = room.members[scanner]
+    valid_tags = frozenset(e.index for e in entries) | {scanner}
+    return ScanJob(member, room.k_prime, room.sid, valid_tags, scanner,
+                   shield=None, self_distinction=False)
+
+
+def _scan_both_ways(room, entries, scanners):
+    """Each scanner's verdict and books, uncached with accel off and with
+    one shared ScanCache with accel on (the engine's two modes)."""
+    verdicts, books = [], []
+    for cached in (False, True):
+        state.configure(enabled=cached)
+        cache = batch.ScanCache() if cached else None
+        rec = metrics.Recorder()
+        row = []
+        try:
+            with metrics.using(rec):
+                for scanner in scanners:
+                    with metrics.scope(f"hs:{scanner}"):
+                        confirmed, _ = phase3_scan(
+                            _job(room, scanner, entries), entries, cache)
+                    row.append(confirmed)
+        finally:
+            state.configure(enabled=False)
+        verdicts.append(row)
+        books.append(rec)
+    return verdicts, books
 
 
 def _books(recorder):
-    """Guarded totals: everything except wall time and accel:* extras."""
-    return {k: v for k, v in recorder.total().as_dict().items()
-            if k != "wall_time" and not k.startswith("accel:")}
+    """Guarded books per scope: everything except wall time and the
+    accel:* extras."""
+    return {scope: {k: v for k, v in counters.as_dict().items()
+                    if k != "wall_time" and not k.startswith("accel:")}
+            for scope, counters in recorder.snapshot().items()}
+
+
+def _expected(room, actions, duplicate):
+    valid = {i for i, action in enumerate(actions) if action == "valid"}
+    if duplicate and actions[0] == "valid":
+        valid.add(len(room.members))
+    return valid
 
 
 class TestAcceptanceSetParity:
@@ -103,105 +163,70 @@ class TestAcceptanceSetParity:
     @settings(max_examples=25, deadline=None)
     def test_acjt_batch_accepts_exactly_the_sequential_set(
             self, acjt_room, data):
-        pk, view, room = acjt_room
         actions = [data.draw(st.sampled_from(ACJT_ACTIONS), label=f"a{i}")
-                   for i in range(len(room))]
-        items = [_tamper_acjt(pk, message, signature, action)
-                 for (message, signature), action in zip(room, actions)]
-        if data.draw(st.booleans(), label="duplicate"):
-            items.append(items[0])       # exercise the dedup path
-            actions.append(actions[0])
-        state.configure(enabled=False)
-        sequential = batch.batch_verify(pk, items, view)
-        state.configure(enabled=True, batch=True)
-        try:
-            batched = batch.batch_verify(pk, items, view)
-        finally:
-            state.configure(enabled=False)
-        assert batched == sequential
-        assert sequential == [action == "valid" for action in actions]
+                   for i in range(len(acjt_room.publications))]
+        duplicate = data.draw(st.booleans(), label="duplicate")
+        entries = _entries(acjt_room, actions, duplicate)
+        scanner = len(acjt_room.members) - 1
+        (sequential, cached), (rec_seq, rec_cached) = _scan_both_ways(
+            acjt_room, entries, [scanner])
+        assert cached == sequential
+        assert sequential == [_expected(acjt_room, actions, duplicate)]
+        assert _books(rec_cached) == _books(rec_seq)
 
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_kty_batch_accepts_exactly_the_sequential_set(
             self, kty_room, data):
-        pk, view, room = kty_room
         actions = [data.draw(st.sampled_from(KTY_ACTIONS), label=f"a{i}")
-                   for i in range(len(room))]
-        items = [_tamper_kty(pk, message, signature, action)
-                 for (message, signature), action in zip(room, actions)]
-        state.configure(enabled=False)
-        sequential = batch.batch_verify(pk, items, view)
-        state.configure(enabled=True, batch=True)
-        try:
-            batched = batch.batch_verify(pk, items, view)
-        finally:
-            state.configure(enabled=False)
-        assert batched == sequential
-        assert sequential == [action == "valid" for action in actions]
-
-    def test_unknown_key_type_rejected(self):
-        with pytest.raises(ParameterError):
-            batch.batch_verify(object(), [], None)
+                   for i in range(len(kty_room.publications))]
+        duplicate = data.draw(st.booleans(), label="duplicate")
+        entries = _entries(kty_room, actions, duplicate)
+        scanner = len(kty_room.members) - 1
+        (sequential, cached), (rec_seq, rec_cached) = _scan_both_ways(
+            kty_room, entries, [scanner])
+        assert cached == sequential
+        assert sequential == [_expected(kty_room, actions, duplicate)]
+        assert _books(rec_cached) == _books(rec_seq)
 
     def test_acjt_shield_rejected(self, acjt_room):
-        pk, view, room = acjt_room
-        with pytest.raises(ParameterError):
-            batch.batch_verify(pk, room, view, expected_shield=1)
+        """ACJT has no self-distinction shield: a scan that imposes one
+        confirms nobody, cached or not."""
+        entries = _entries(acjt_room, ["valid"] * len(acjt_room.publications))
+        scanner = len(acjt_room.members) - 1
+        job = replace(_job(acjt_room, scanner, entries), shield=1)
+        assert phase3_scan(job, entries) == (set(), {})
+        state.configure(enabled=True)
+        assert phase3_scan(job, entries, batch.ScanCache()) == (set(), {})
 
 
 class TestCounterParity:
     def test_batched_books_equal_sequential_books(self, acjt_room):
-        pk, view, room = acjt_room
-        items = list(room) + [room[0], room[1]]     # two duplicates
-        rec_seq = metrics.Recorder()
-        state.configure(enabled=False)
-        with metrics.using(rec_seq):
-            sequential = batch.batch_verify(pk, items, view)
-        rec_bat = metrics.Recorder()
-        state.configure(enabled=True, batch=True)
-        try:
-            with metrics.using(rec_bat):
-                batched = batch.batch_verify(pk, items, view)
-        finally:
-            state.configure(enabled=False)
-        assert batched == sequential
-        assert _books(rec_bat) == _books(rec_seq)
-        extras = rec_bat.total().extra
-        assert extras.get("accel:batch-scan-miss") == len(room)
-        assert extras.get("accel:batch-scan-hit") == 2
-        assert extras.get("accel:batch-fallback", 0) == 0
-        assert extras.get("accel:batch-divergence", 0) == 0
+        """Every member scans the room (one duplicate included) through
+        one shared cache: per-party books equal the uncached scan's, and
+        each distinct decrypt and verify ran once."""
+        actions = ["valid"] * len(acjt_room.publications)
+        entries = _entries(acjt_room, actions, duplicate=True)
+        scanners = list(range(len(acjt_room.members)))
+        (sequential, cached), (rec_seq, rec_cached) = _scan_both_ways(
+            acjt_room, entries, scanners)
+        assert cached == sequential
+        assert _books(rec_cached) == _books(rec_seq)
+        lookups = 2 * sum(1 for s in scanners for e in entries
+                          if e.index != s)
+        distinct = 2 * len(acjt_room.publications)   # one decrypt + verify
+        extras = rec_cached.total().extra
+        assert extras.get("accel:batch-scan-miss") == distinct
+        assert extras.get("accel:batch-scan-hit") == lookups - distinct
 
-    def test_forgery_falls_back_without_divergence(self, acjt_room):
-        pk, view, room = acjt_room
-        message, signature = room[0]
-        forged = replace(signature, challenge=signature.challenge ^ 1)
-        rec = metrics.Recorder()
-        state.configure(enabled=True, batch=True)
-        try:
-            with metrics.using(rec):
-                verdicts = batch.batch_verify(
-                    pk, [(message, forged)], view)
-        finally:
-            state.configure(enabled=False)
-        assert verdicts == [False]
-        extras = rec.total().extra
-        assert extras.get("accel:batch-fallback") == 1
-        assert extras.get("accel:batch-divergence", 0) == 0
-
-    def test_batch_switch_off_disables_caching(self, acjt_room):
-        pk, view, room = acjt_room
-        rec = metrics.Recorder()
-        state.configure(enabled=True, batch=False)
-        try:
-            with metrics.using(rec):
-                batch.batch_verify(pk, list(room) + [room[0]], view)
-        finally:
-            state.configure(enabled=False)
-        extras = rec.total().extra
-        assert "accel:batch-scan-hit" not in extras
-        assert "accel:batch-scan-miss" not in extras
+    def test_batch_false_is_rejected(self):
+        """The batch switch is gone: ``batch=True`` is still accepted,
+        ``batch=False`` raises and changes nothing."""
+        before = accel.configure(enabled=True, batch=True)
+        assert "batch" not in before and "batch" not in accel.stats()
+        with pytest.raises(ValueError):
+            accel.configure(enabled=False, batch=False)
+        assert state.is_enabled()
 
 
 class TestVerifyRoom:
@@ -222,7 +247,7 @@ class TestVerifyRoom:
         with metrics.using(rec_seq):
             sequential = batch.verify_room(members, items)
         rec_bat = metrics.Recorder()
-        state.configure(enabled=True, batch=True)
+        state.configure(enabled=True)
         try:
             with metrics.using(rec_bat):
                 batched = batch.verify_room(members, items,
@@ -252,19 +277,11 @@ class TestHandshakeIntegration:
             outcomes = run_handshake(members, scheme1_policy(), rngs=rngs)
         return outcomes, rec
 
-    def _comparable(self, rec):
-        books = {}
-        for scope, counters in rec.snapshot().items():
-            books[scope] = {k: v for k, v in counters.as_dict().items()
-                            if k != "wall_time"
-                            and not k.startswith("accel:")}
-        return books
-
     def test_inline_batched_handshake_is_byte_identical(self, service_world):
         state.configure(enabled=False)
         plain_outcomes, plain_rec = self._run(service_world)
         assert all(o.success for o in plain_outcomes)
-        state.configure(enabled=True, batch=True)
+        state.configure(enabled=True)
         try:
             batched_outcomes, batched_rec = self._run(service_world)
         finally:
@@ -275,33 +292,8 @@ class TestHandshakeIntegration:
                [o.transcript.entries for o in batched_outcomes]
         assert [o.confirmed_peers for o in plain_outcomes] == \
                [o.confirmed_peers for o in batched_outcomes]
-        assert self._comparable(plain_rec) == self._comparable(batched_rec)
+        assert _books(plain_rec) == _books(batched_rec)
         # The room really was deduplicated: every party past the first
         # reused the shared decrypt+verify results.
         extras = batched_rec.total().extra
         assert extras.get("accel:batch-scan-hit", 0) > 0
-
-    def test_pooled_unbatched_scan_still_matches_inline(self, service_world):
-        """The legacy one-task-per-party pool scan (batch off) remains a
-        supported configuration and stays byte-identical."""
-        state.configure(enabled=False)
-        inline_outcomes, inline_rec = self._run(service_world)
-        accel.configure(enabled=True, batch=False)
-        try:
-            pool = accel.get_pool(workers=2)
-            names = sorted(service_world.members)[:self.M]
-            members = service_world.lineup(*names)
-            rngs = [random.Random(61000 + i) for i in range(self.M)]
-            rec = metrics.Recorder()
-            with metrics.using(rec):
-                pooled_outcomes = run_handshake(
-                    members, scheme1_policy(), rngs=rngs, pool=pool)
-        finally:
-            accel.shutdown_pool()
-            accel.configure(enabled=False, batch=True)
-        assert [o.session_key for o in inline_outcomes] == \
-               [o.session_key for o in pooled_outcomes]
-        assert self._comparable(inline_rec) == self._comparable(rec)
-        extras = rec.total().extra
-        assert extras.get("accel:pool-tasks", 0) == 2 * self.M
-        assert "accel:batch-chunks" not in extras

@@ -69,8 +69,8 @@ def test_sync_async_scheme2_rogue(scheme2_world):
 def test_five_party_service_transport_count_parity(service_world):
     """The acceptance bar for the socket transport: a 5-party handshake
     over real loopback TCP performs exactly the same per-party work —
-    modexp, messages sent, messages received in scope ``hs:<i>`` — as the
-    synchronous engine and the in-process simulator.
+    modexp, messages sent, messages received and hashes in scope
+    ``hs:<i>`` — as the synchronous engine and the in-process simulator.
 
     The simulator and socket legs run with span tracing *enabled* while
     the engine leg runs with it off: parity across the three recorders
@@ -89,7 +89,8 @@ def test_five_party_service_transport_count_parity(service_world):
         return [
             (snap[f"hs:{i}"].modexp,
              snap[f"hs:{i}"].messages_sent,
-             snap[f"hs:{i}"].messages_received)
+             snap[f"hs:{i}"].messages_received,
+             snap[f"hs:{i}"].hashes)
             for i in range(m)
         ]
 
@@ -123,7 +124,7 @@ def test_five_party_service_transport_count_parity(service_world):
     # The profile itself is the paper's: 4 broadcasts per party (2 DGKA
     # rounds + tag + phase3), each received by the other m-1 parties.
     assert all(sent == 4 and received == 4 * (m - 1)
-               for _, sent, received in sync_counts)
+               for _, sent, received, _ in sync_counts)
     # The traced legs really did trace: every party has a root span with
     # nested phase spans (the Perfetto acceptance artifact's skeleton).
     for rec in (sim_rec, svc_rec):
@@ -143,3 +144,52 @@ def test_both_transcripts_trace_identically(scheme1_world):
     t1 = scheme1_world.framework.trace(sync_outcomes[0].transcript)
     t2 = scheme1_world.framework.trace(async_outcomes[0].transcript)
     assert sorted(t1.identified) == sorted(t2.identified) == ["alice", "bob"]
+
+
+class _FailingSigner:
+    """Member proxy whose group signer fails after Phase II, so the party
+    can only publish a decoy in Phase III."""
+
+    def __init__(self, member):
+        self._member = member
+
+    def __getattr__(self, name):
+        return getattr(self._member, name)
+
+    def gsig_sign(self, message, rng=None, shield=None):
+        raise RuntimeError("signing device failed")
+
+
+def test_failed_signer_fails_every_party_on_every_transport(scheme1_world):
+    """All-or-nothing: a party that could not sign publishes a decoy, so
+    no one — the failed party included — concludes with a session key,
+    whichever transport runs the room."""
+    import asyncio
+
+    from repro.service import ClientConfig, RendezvousServer, ServerConfig, run_room
+
+    members = scheme1_world.lineup("alice", "bob", "carol")
+    lineup = [_FailingSigner(members[0])] + members[1:]
+    policy = scheme1_policy()
+
+    async def over_sockets():
+        async with RendezvousServer(ServerConfig()) as server:
+            cfg = ClientConfig(port=server.port, room="failed-signer")
+            return await asyncio.wait_for(run_room(lineup, cfg, policy), 60)
+
+    legs = {
+        "engine": run_handshake(lineup, policy, random.Random(31)),
+        "simulator": run_handshake_over_network(
+            lineup, policy, random.Random(32),
+            network=Network(reorder_rng=random.Random(33)),
+            session_id="failed-signer"),
+        "sockets": asyncio.run(over_sockets()),
+    }
+    for transport, outcomes in legs.items():
+        assert [o.success for o in outcomes] == [False] * 3, transport
+        assert [o.session_key for o in outcomes] == [None] * 3, transport
+        # The failed party confirms nobody; the others confirm each other
+        # but never the decoy publisher.
+        assert outcomes[0].confirmed_peers == set(), transport
+        assert [o.confirmed_peers for o in outcomes[1:]] == [{2}, {1}], \
+            transport
