@@ -20,7 +20,8 @@ every protocol output are bit-identical with acceleration on or off.
 New ``accel:*`` extra counters and histograms ride on top.
 
 Importing this package installs the fixed-base hook into
-:func:`repro.crypto.modmath.mexp`; the hook is inert until enabled.
+:func:`repro.crypto.modmath.uncounted_pow`, the power step that ``mexp``
+and ``multi_exp`` share; the hook is inert until enabled.
 """
 
 from __future__ import annotations

@@ -13,10 +13,11 @@ digit — no squarings at all — at the cost of ``2^window`` stored powers
 per digit row, built once and cached.
 
 Accounting contract (the E1 invariant): a table lookup **replaces** one
-``pow`` call inside :func:`repro.crypto.modmath.mexp`, which has already
-charged its modexp before consulting the hook — so the guarded counters
-are identical with the subsystem on or off.  Cache behaviour is layered
-on top as new ``accel:fb-hit`` / ``accel:fb-miss`` extra counters.
+``pow`` call inside :func:`repro.crypto.modmath.uncounted_pow`, whose
+callers (``mexp``, ``multi_exp``) charge the modexp whether or not the
+hook answers — so the guarded counters are identical with the subsystem
+on or off.  Cache behaviour is layered on top as new ``accel:fb-hit`` /
+``accel:fb-miss`` extra counters.
 
 Only *registered* bases get tables: :func:`register_base` is called from
 the key-generation sites (ACJT manager, ``dh_group``, Cramer-Shoup
@@ -254,13 +255,16 @@ def is_registered(base: int, modulus: int) -> bool:
 
 
 def lookup_pow(base: int, exponent: int, modulus: int) -> Optional[int]:
-    """The :func:`repro.crypto.modmath.mexp` hook.
+    """The :func:`repro.crypto.modmath.uncounted_pow` hook.
 
     Returns the power for registered bases while acceleration is on, or
-    ``None`` to tell ``mexp`` to fall back to builtin ``pow``.  The
-    caller has already charged the modexp; this layers ``accel:fb-hit``
-    / ``accel:fb-miss`` extras on top (a *miss* is a registered base
-    whose table had to be built — unregistered bases count nothing).
+    ``None`` to fall back to builtin ``pow``.  Exponents must be
+    non-negative (a negative one gets ``None``): ``mexp`` and
+    ``multi_exp`` evaluate ``b^(-e)`` as ``(b^e)^(-1)``, so the hook
+    only ever sees ``e``.  The caller charges the modexp; this layers
+    ``accel:fb-hit`` / ``accel:fb-miss`` extras on top (a *miss* is a
+    registered base whose table had to be built — unregistered bases
+    count nothing).
     """
     if not state.is_enabled() or exponent < 0 or modulus <= 1:
         return None

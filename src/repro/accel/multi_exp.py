@@ -7,10 +7,10 @@ the group public key and Pedersen bases, the accumulator value — to the
 very largest exponents (the ``s3``/``s_z`` responses run to ~6x the
 modulus size), which is exactly what :mod:`repro.accel.fixed_base`
 windowed tables are good at: one multiply per non-zero window digit, no
-squarings.  The enabled path therefore splits each product by base:
-registered bases evaluate through their shared table, everything else
-(the per-signature ``T``-values, which only carry the short challenge
-and ``s1_hat`` exponents) falls back to builtin ``pow``.
+squarings.  Each product is therefore split by base: while accel is
+enabled, registered bases evaluate through their shared table, and
+everything else (the per-signature ``T``-values, which only carry the
+short challenge and ``s1_hat`` exponents) falls back to builtin ``pow``.
 
 An earlier revision ran a pure-Python Shamir/Straus shared ladder here.
 Profiling showed it *loses* to CPython's C ``pow`` on the mixed exponent
@@ -19,53 +19,44 @@ big-int multiplies, and the shortest exponent pads up to the longest —
 so the ladder is gone; the split evaluation above is what made accel-on
 finally beat accel-off on one core.
 
+Every term is evaluated by :func:`repro.crypto.modmath.uncounted_pow`,
+the step ``mexp`` uses too: a negative exponent is evaluated as
+``b^(-e) = (b^e)^(-1)``, so a sigma response that came out negative
+still lands on its base's table.
+
 Accounting contract (the E1 invariant): a ``k``-term call charges
 exactly ``k`` modexps — the number of :func:`repro.crypto.modmath.mexp`
-calls it replaces — whether or not acceleration is enabled.  Negative
-exponents are normalized per-pair through
-:func:`repro.crypto.modmath.inverse`, mirroring what each replaced
-``mexp`` would have done, so the ``inversions`` extra counter is also
-independent of the accel switch.
+calls it replaces — whether or not acceleration is enabled.  Each
+negative term costs one :func:`repro.crypto.modmath.inverse`, mirroring
+what each replaced ``mexp`` would have done, so the ``inversions`` extra
+counter is also independent of the accel switch; a non-invertible base
+raises :class:`repro.errors.ParameterError` before any modexp is
+charged.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 from repro import metrics
-from repro.accel import fixed_base, state
-from repro.crypto.modmath import inverse
+from repro.crypto.modmath import uncounted_pow
+
 
 def multi_exp(pairs: Iterable[Tuple[int, int]], modulus: int) -> int:
     """``prod(base**exp for base, exp in pairs) % modulus``, counted as
     ``len(pairs)`` modular exponentiations.
 
     Bit-identical to the naive per-term product for any input; the
-    fixed-base split only changes *how* the same residue is reached, and
-    only runs while :mod:`repro.accel` is enabled.
+    fixed-base tables (used only while :mod:`repro.accel` is enabled)
+    change *how* each factor is reached, not the residue.
     """
     if modulus <= 0:
         raise ValueError("modulus must be positive")
-    terms: List[Tuple[int, int]] = []
+    result = 1 % modulus
+    terms = 0
     for base, exponent in pairs:
-        if exponent < 0:
-            base = inverse(base, modulus)
-            exponent = -exponent
-        terms.append((base % modulus, exponent))
-    if not terms:
-        return 1 % modulus
-    metrics.count_modexp(len(terms))
-    if modulus == 1:
-        return 0
-    if not state.is_enabled():
-        result = 1
-        for base, exponent in terms:
-            result = (result * pow(base, exponent, modulus)) % modulus
-        return result
-    result = 1
-    for base, exponent in terms:
-        power = fixed_base.lookup_pow(base, exponent, modulus)
-        if power is None:
-            power = pow(base, exponent, modulus)
-        result = (result * power) % modulus
+        result = (result * uncounted_pow(base, exponent, modulus)) % modulus
+        terms += 1
+    if terms:
+        metrics.count_modexp(terms)
     return result

@@ -19,7 +19,8 @@ from repro.errors import ParameterError
 #: Optional fast path installed by :mod:`repro.accel` on import:
 #: ``hook(base, exponent, modulus)`` returns the power for bases with a
 #: precomputed table, or ``None`` to fall back to builtin ``pow``.  The
-#: hook runs *after* counting so the E1 books are hook-independent.
+#: hook only ever sees non-negative exponents and runs inside
+#: :func:`uncounted_pow`, so the E1 books are hook-independent.
 _ACCEL_POW = None
 
 
@@ -28,25 +29,42 @@ def _install_accel_pow(hook) -> None:
     _ACCEL_POW = hook
 
 
-def mexp(base: int, exponent: int, modulus: int) -> int:
-    """Counted modular exponentiation; supports negative exponents for units.
+def uncounted_pow(base: int, exponent: int, modulus: int) -> int:
+    """``base ** exponent % modulus`` without charging a modexp.
 
-    Negative exponents are normalized through :func:`inverse` (rather than
-    handed to CPython's ``pow``) so the inversion is visible to the
-    ``inversions`` counter — the E1 ledger stays honest about what the
-    protocol actually computes.
+    For callers that charge their own (:func:`mexp`,
+    :func:`repro.accel.multi_exp.multi_exp`).  The power comes from the
+    base's fixed-base table when :mod:`repro.accel` serves it, and from
+    builtin ``pow`` otherwise — the same residue either way.
+
+    A negative exponent is evaluated as ``b^(-e) = (b^e)^(-1)``: ``b^e``
+    takes that same route and the result goes through :func:`inverse`,
+    so the inversion is visible to the ``inversions`` counter.  Inverting
+    the power rather than the base keeps a registered base on its table
+    (the inverse of a registered base is not registered).  ``b^e`` is a
+    unit exactly when ``b`` is, so a non-invertible base still raises
+    :class:`ParameterError`.
     """
-    if modulus <= 0:
-        raise ParameterError("modulus must be positive")
-    metrics.count_modexp()
     if exponent < 0:
-        base = inverse(base, modulus)
-        exponent = -exponent
+        return inverse(uncounted_pow(base, -exponent, modulus), modulus)
     if _ACCEL_POW is not None:
         accelerated = _ACCEL_POW(base, exponent, modulus)
         if accelerated is not None:
             return accelerated
     return pow(base, exponent, modulus)
+
+
+def mexp(base: int, exponent: int, modulus: int) -> int:
+    """Counted modular exponentiation; supports negative exponents for units.
+
+    Charges one modexp, then evaluates through :func:`uncounted_pow`: a
+    negative exponent costs one extra, counted, :func:`inverse` — the E1
+    ledger stays honest about what the protocol actually computes.
+    """
+    if modulus <= 0:
+        raise ParameterError("modulus must be positive")
+    metrics.count_modexp()
+    return uncounted_pow(base, exponent, modulus)
 
 
 def mmul(a: int, b: int, modulus: int) -> int:

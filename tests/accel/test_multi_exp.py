@@ -5,16 +5,26 @@ every input — enabled or disabled — and must charge exactly one modexp
 per term (the E1 invariant: each term replaces one ``mexp`` call).
 """
 
+import contextlib
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import metrics
-from repro.accel import state
+from repro.accel import fixed_base, state
 from repro.accel.multi_exp import multi_exp
 from repro.crypto.modmath import inverse
+from repro.errors import ParameterError
 
 PRIME_MODULI = st.sampled_from([2, 3, 101, 7919, (1 << 61) - 1])
+#: Exponents of either sign, out to the ~3000-bit size of the SPK
+#: responses that the fixed-base tables serve.
+SIGNED_EXPONENTS = st.integers(min_value=-(1 << 3000), max_value=1 << 3000)
+#: Composite moduli, with a base that shares a factor with each.
+COMPOSITE_WITH_ZERO_DIVISOR = st.sampled_from(
+    [(7919 * 101, 101), (1 << 96, 6), (15, 10)])
 
 
 def _naive(pairs, modulus):
@@ -70,6 +80,90 @@ class TestCorrectness:
         state.configure(enabled=enabled)
         with pytest.raises(ValueError):
             multi_exp([(2, 3)], 0)
+
+
+@contextlib.contextmanager
+def _registered(bases, modulus):
+    """Register ``bases`` for the block; leave the registry as found."""
+    for base in bases:
+        fixed_base.register_base(base, modulus)
+    try:
+        yield
+    finally:
+        for base in bases:
+            fixed_base.unregister_base(base, modulus)
+
+
+def _run(pairs, modulus, enabled):
+    """``(value or ParameterError, modexp, inversions, table lookups)``."""
+    state.configure(enabled=enabled)
+    rec = metrics.Recorder()
+    with metrics.using(rec):
+        try:
+            value = multi_exp(pairs, modulus)
+        except ParameterError:
+            value = ParameterError
+    total = rec.total()
+    return (value, total.modexp, total.extra.get("inversions", 0),
+            total.extra.get("accel:fb-hit", 0)
+            + total.extra.get("accel:fb-miss", 0))
+
+
+class TestRegisteredBases:
+    """``b^(-e)`` is evaluated as ``(b^e)^(-1)``, so a registered base is
+    served by its table whatever its exponent's sign — with the residue
+    and the books of the accel-off run."""
+
+    @given(pairs=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=1 << 64),
+                  SIGNED_EXPONENTS),
+        min_size=1, max_size=4),
+        modulus=PRIME_MODULI)
+    @settings(max_examples=60, deadline=None)
+    def test_negative_exponents_use_the_tables(self, pairs, modulus):
+        pairs = [(b, e) for b, e in pairs if b % modulus != 0]
+        expected = 1 % modulus
+        for base, exponent in pairs:
+            expected = (expected * pow(base, exponent, modulus)) % modulus
+        negatives = sum(1 for _, e in pairs if e < 0)
+        with _registered([b for b, _ in pairs], modulus):
+            off = _run(pairs, modulus, enabled=False)
+            on = _run(pairs, modulus, enabled=True)
+        assert off == (expected, len(pairs), negatives, 0)
+        assert on == (expected, len(pairs), negatives, len(pairs))
+
+    @given(pairs=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=1 << 64),
+                  SIGNED_EXPONENTS),
+        min_size=0, max_size=4),
+        bad=COMPOSITE_WITH_ZERO_DIVISOR,
+        exponent=st.integers(min_value=-(1 << 1024), max_value=-1))
+    @settings(max_examples=40, deadline=None)
+    def test_non_invertible_base_raises_before_charging(self, pairs, bad,
+                                                         exponent):
+        modulus, base = bad
+        pairs = [(b, e) for b, e in pairs
+                 if e >= 0 or math.gcd(b, modulus) == 1]
+        pairs.append((base, exponent))
+        negatives = sum(1 for _, e in pairs if e < 0)
+        with _registered([b for b, _ in pairs], modulus):
+            for enabled in (False, True):
+                value, modexp, inversions, _ = _run(pairs, modulus, enabled)
+                assert (value, modexp, inversions) == (
+                    ParameterError, 0, negatives)
+
+    @given(pairs=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=1 << 64),
+                  SIGNED_EXPONENTS),
+        min_size=0, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_modulus_one(self, pairs):
+        # Every residue mod 1 is 0 and a unit: no error, no table.
+        negatives = sum(1 for _, e in pairs if e < 0)
+        with _registered([b for b, _ in pairs], 1):
+            for enabled in (False, True):
+                assert _run(pairs, 1, enabled) == (
+                    0, len(pairs), negatives, 0)
 
 
 class TestAccounting:

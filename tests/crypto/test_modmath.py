@@ -6,11 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import metrics
+from repro.accel import fixed_base, state
 from repro.crypto import modmath
 from repro.crypto.primes import is_prime, next_prime
 from repro.errors import ParameterError
 
 _PRIMES = [101, 257, 7919, (1 << 61) - 1]
+#: Exponents of either sign, out to the ~3000-bit SPK response size.
+_SIGNED_EXPONENTS = st.integers(min_value=-(1 << 3000), max_value=1 << 3000)
+#: ``(modulus, base)`` pairs where the base is a zero divisor.
+_ZERO_DIVISORS = st.sampled_from([(7919 * 101, 101), (1 << 96, 6), (15, 10)])
 
 
 class TestMexp:
@@ -35,6 +41,64 @@ class TestMexp:
     @settings(max_examples=50)
     def test_matches_pow(self, base, exp):
         assert modmath.mexp(base, exp, 7919) == pow(base, exp, 7919)
+
+
+def _counted_mexp(base, exponent, modulus, enabled):
+    """``(value or ParameterError, modexp, inversions, table lookups)``
+    of one ``mexp`` call with ``(base, modulus)`` registered."""
+    state.configure(enabled=enabled)
+    fixed_base.register_base(base, modulus)
+    rec = metrics.Recorder()
+    try:
+        with metrics.using(rec):
+            try:
+                value = modmath.mexp(base, exponent, modulus)
+            except ParameterError:
+                value = ParameterError
+    finally:
+        fixed_base.unregister_base(base, modulus)
+        state.configure(enabled=False)
+    total = rec.total()
+    return (value, total.modexp, total.extra.get("inversions", 0),
+            total.extra.get("accel:fb-hit", 0)
+            + total.extra.get("accel:fb-miss", 0))
+
+
+class TestMexpOnRegisteredBases:
+    """``b^(-e) = (b^e)^(-1)``: a registered base is served by its
+    fixed-base table whatever the exponent's sign, with the residue and
+    the books of the accel-off call."""
+
+    @given(base=st.integers(min_value=1, max_value=1 << 64),
+           exponent=_SIGNED_EXPONENTS, modulus=st.sampled_from(_PRIMES))
+    @settings(max_examples=60, deadline=None)
+    def test_same_value_and_books_with_tables(self, base, exponent, modulus):
+        if base % modulus == 0:
+            base += 1
+        inversions = 1 if exponent < 0 else 0
+        expected = pow(base, exponent, modulus)
+        assert _counted_mexp(base, exponent, modulus, enabled=False) == (
+            expected, 1, inversions, 0)
+        assert _counted_mexp(base, exponent, modulus, enabled=True) == (
+            expected, 1, inversions, 1)
+
+    @given(bad=_ZERO_DIVISORS,
+           exponent=st.integers(min_value=-(1 << 1024), max_value=-1))
+    @settings(max_examples=30, deadline=None)
+    def test_non_invertible_base_still_raises(self, bad, exponent):
+        modulus, base = bad
+        for enabled in (False, True):
+            assert _counted_mexp(base, exponent, modulus, enabled)[:3] == (
+                ParameterError, 1, 1)
+
+    @given(base=st.integers(min_value=0, max_value=1 << 64),
+           exponent=_SIGNED_EXPONENTS)
+    @settings(max_examples=30, deadline=None)
+    def test_modulus_one(self, base, exponent):
+        inversions = 1 if exponent < 0 else 0
+        for enabled in (False, True):
+            assert _counted_mexp(base, exponent, 1, enabled) == (
+                0, 1, inversions, 0)
 
 
 class TestInverse:
