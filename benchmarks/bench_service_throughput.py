@@ -11,21 +11,13 @@ A STATUS poller runs *during* each burst (docs/OBSERVABILITY.md): live
 introspection must work while the relay is under load, and the final
 snapshot provides the server-side ``svc:relay-latency`` percentiles
 reported in the second table.
-
-The final leg re-runs the 20-room burst with the accel bridge engaged on
-both sides (``ClientConfig.offload`` / ``ServerConfig.offload``): crypto
-and codec work leaves the event loop, but every per-room assertion in
-``_burst`` — the paper's 4 / 4*(m-1) message profile — must hold
-unchanged, and the relay-latency percentiles are reported alongside the
-non-accel numbers (docs/PERFORMANCE.md).
 """
 
 import asyncio
 import time
 
 from _tables import emit
-from repro import accel, metrics
-from repro.accel import bridge as accel_bridge
+from repro import metrics
 from repro.core.scheme1 import scheme1_policy
 from repro.service import (
     ClientConfig,
@@ -47,10 +39,9 @@ def _percentile(sorted_values, fraction):
     return sorted_values[index]
 
 
-async def _one_room(server, members, policy, label, recorder, offload=False):
+async def _one_room(server, members, policy, label, recorder):
     with metrics.using(recorder):
-        config = ClientConfig(port=server.port, room=label, deadline=120.0,
-                              offload=offload)
+        config = ClientConfig(port=server.port, room=label, deadline=120.0)
         started = time.perf_counter()
         outcomes = await run_room(members, config, policy)
         return outcomes, time.perf_counter() - started
@@ -70,21 +61,19 @@ async def _poll_status(port, live):
         await asyncio.sleep(0.02)
 
 
-async def _burst(members, policy, n_rooms, offload=False):
+async def _burst(members, policy, n_rooms):
     """Run ``n_rooms`` rooms concurrently under a live STATUS poller;
     return (wall, latencies, live-introspection stats, final status)."""
     server_rec = metrics.Recorder()   # server-side svc:* books, per level
     live = {"polls": 0, "peak_active": 0}
     with metrics.using(server_rec):
         async with RendezvousServer(
-                ServerConfig(handshake_timeout=120.0,
-                             offload=offload)) as server:
+                ServerConfig(handshake_timeout=120.0)) as server:
             recorders = [metrics.Recorder() for _ in range(n_rooms)]
             poller = asyncio.ensure_future(_poll_status(server.port, live))
             started = time.perf_counter()
             results = await asyncio.gather(*[
-                _one_room(server, members, policy, f"bench-{i}", recorders[i],
-                          offload=offload)
+                _one_room(server, members, policy, f"bench-{i}", recorders[i])
                 for i in range(n_rooms)
             ])
             wall = time.perf_counter() - started
@@ -117,22 +106,10 @@ def test_service_throughput(benchmark, bench_scheme1):
     policy = scheme1_policy()
     results = {}
 
-    offload_rooms = max(SWEEP)
-    offload_result = {}
-
     def run():
         for n_rooms in SWEEP:
             results[n_rooms] = asyncio.run(
                 asyncio.wait_for(_burst(members, policy, n_rooms), 300))
-        # Accel-bridge leg: same burst at peak concurrency with crypto
-        # and codec work offloaded on both client and server sides.
-        accel.enable()
-        try:
-            offload_result["burst"] = asyncio.run(asyncio.wait_for(
-                _burst(members, policy, offload_rooms, offload=True), 300))
-        finally:
-            accel_bridge.shutdown()
-            accel.disable()
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
@@ -168,27 +145,3 @@ def test_service_throughput(benchmark, bench_scheme1):
         obs_rows,
     )
 
-    accel_rows = []
-    for mode, (wall, latencies, _, status) in (
-            ("inline", results[offload_rooms]),
-            ("offload", offload_result["burst"])):
-        relay = status["histograms"].get("svc:relay-latency",
-                                         {"count": 0, "p50": 0.0, "p99": 0.0})
-        accel_rows.append((
-            mode, offload_rooms, f"{wall:.3f}",
-            f"{offload_rooms / wall:.1f}",
-            f"{_percentile(latencies, 0.50):.3f}",
-            f"{_percentile(latencies, 0.95):.3f}",
-            f"{relay['p50'] * 1e3:.3f}", f"{relay['p99'] * 1e3:.3f}",
-        ))
-    # The offload leg saw the bridge on the server side.
-    offload_status = offload_result["burst"][3]
-    assert offload_status["accel"]["bridge"]["tasks"] > 0
-    emit(
-        "service_accel_offload",
-        f"Service: {offload_rooms}-room burst, event loop vs accel-bridge "
-        "offload (docs/PERFORMANCE.md)",
-        ("mode", "rooms", "wall(s)", "rooms/s", "room-p50(s)", "room-p95(s)",
-         "relay-p50(ms)", "relay-p99(ms)"),
-        accel_rows,
-    )

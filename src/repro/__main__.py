@@ -86,21 +86,15 @@ def _banner(text: str) -> None:
 
 
 def _add_accel_flags(sub) -> None:
-    sub.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="worker processes / bridge threads for the accel "
-                          "subsystem (default: one per CPU)")
     sub.add_argument("--no-accel", action="store_true",
                      help="disable crypto acceleration (fixed-base "
-                          "precomputation, batch verification, offload); "
-                          "results and operation counts are identical "
-                          "either way")
+                          "precomputation, batch verification); results "
+                          "and operation counts are identical either way")
 
 
-def _apply_accel(args: argparse.Namespace) -> bool:
-    """Configure repro.accel from the CLI flags; returns enabled state."""
-    enabled = not getattr(args, "no_accel", False)
-    accel.configure(enabled=enabled, workers=getattr(args, "workers", None))
-    return enabled
+def _apply_accel(args: argparse.Namespace) -> None:
+    """Configure repro.accel from the ``--no-accel`` flag."""
+    accel.configure(enabled=not getattr(args, "no_accel", False))
 
 
 def _accel_summary() -> str:
@@ -113,9 +107,6 @@ def _accel_summary() -> str:
         pool = stats["pool"]
         line += (f" pool tasks={pool['tasks']} "
                  f"inline={pool['inline']} workers={pool['workers']}")
-    bridge = stats["bridge"]
-    if bridge["tasks"]:
-        line += f" bridge tasks={bridge['tasks']}"
     return line
 
 
@@ -590,15 +581,14 @@ def _epoch(args: argparse.Namespace) -> int:
 def _serve(args: argparse.Namespace) -> int:
     from repro.service import RendezvousServer, ServerConfig
 
-    offload = _apply_accel(args)
+    _apply_accel(args)
 
     async def single() -> int:
         config = ServerConfig(
             host=args.host, port=args.port,
             room_fill_timeout=args.room_fill_timeout,
             handshake_timeout=args.handshake_timeout,
-            max_rooms=args.max_rooms,
-            offload=offload)
+            max_rooms=args.max_rooms)
         server = await RendezvousServer(config).start()
         print(f"rendezvous server listening on {args.host}:{server.port} "
               f"(untrusted relay — it sees only wire-format ciphertexts)")
@@ -700,12 +690,12 @@ def _join(args: argparse.Namespace) -> int:
     from repro.core.handshake import HandshakeOutcome
     from repro.service import ClientConfig, join_room, run_room
 
-    offload = _apply_accel(args)
+    _apply_accel(args)
     print(f"deriving scheme-{args.scheme} group from seed {args.seed} "
           f"(m={args.m}) …")
     members, policy = _build_join_world(args)
     config = ClientConfig(host=args.host, port=args.port, room=args.room,
-                          m=args.m, deadline=args.deadline, offload=offload)
+                          m=args.m, deadline=args.deadline)
 
     async def main():
         if args.index is not None:
@@ -732,7 +722,7 @@ def _load(args: argparse.Namespace) -> int:
                             format_report, run_open_loop)
     from repro.service import query_status
 
-    offload = _apply_accel(args)
+    _apply_accel(args)
     try:
         mix = RoomMix.parse(args.mix)
     except ValueError as exc:
@@ -849,8 +839,7 @@ def _load(args: argparse.Namespace) -> int:
         from repro.service import RendezvousServer, ServerConfig
 
         server_config = ServerConfig(host=args.host, port=0,
-                                     max_rooms=args.max_rooms,
-                                     offload=offload)
+                                     max_rooms=args.max_rooms)
         async with RendezvousServer(server_config) as server:
             print(f"self-hosted rendezvous server on port {server.port}")
             return await _run(server.port, 1)
@@ -942,12 +931,10 @@ def _status(args: argparse.Namespace) -> int:
     if accel_stats:
         fb = accel_stats.get("fixed_base", {})
         pool = accel_stats.get("pool") or {}
-        bridge = accel_stats.get("bridge", {})
         print(f"accel: enabled={accel_stats.get('enabled')}  "
               f"fixed-base hits/misses={fb.get('hits', 0)}/"
               f"{fb.get('misses', 0)} tables={fb.get('tables', 0)}  "
-              f"pool tasks={pool.get('tasks', 0)}  "
-              f"bridge tasks={bridge.get('tasks', 0)}")
+              f"pool tasks={pool.get('tasks', 0)}")
     return 0
 
 

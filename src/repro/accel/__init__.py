@@ -1,6 +1,6 @@
 """repro.accel — crypto acceleration subsystem.
 
-Three layers, all behaviour-preserving (see docs/PERFORMANCE.md):
+Two layers, both behaviour-preserving (see docs/PERFORMANCE.md):
 
 1. **Algorithmic** (:mod:`repro.accel.fixed_base`,
    :mod:`repro.accel.multi_exp`, :mod:`repro.accel.batch`) — fixed-base
@@ -9,10 +9,8 @@ Three layers, all behaviour-preserving (see docs/PERFORMANCE.md):
    room-wide :class:`ScanCache` for Phase III verify scans.
 2. **Parallel** (:mod:`repro.accel.pool`) — a ``ProcessPoolExecutor``
    worker pool with batch submit (``sign_many`` / ``verify_many`` /
-   ``modexp_many``) and counter replay into the caller's books.
-3. **Async** (:mod:`repro.accel.bridge`) — a ``run_in_executor`` bridge
-   so the service client/server keep the event loop free while crypto
-   computes.
+   ``modexp_many``) and counter replay into the caller's books; the
+   engine's optional Phase III executor (``run_handshake(pool=...)``).
 
 Everything is off by default and switched with :func:`configure` /
 :func:`enable`; the guarded E1/E2 counters (modexp, messages, bytes) and
@@ -28,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.accel import bridge, fixed_base, state
+from repro.accel import fixed_base, state
 from repro.accel.fixed_base import (FixedBaseTable, lookup_pow,
                                     register_base, unregister_base)
 from repro.accel.multi_exp import multi_exp
@@ -44,7 +42,6 @@ __all__ = [
     "ScanCache",
     "WorkerPool",
     "batch",
-    "bridge",
     "configure",
     "disable",
     "enable",
@@ -106,10 +103,9 @@ def shutdown_pool() -> None:
 
 
 def reset() -> None:
-    """Drop caches, pools and bridge threads; configuration persists."""
+    """Drop caches and the pool; configuration persists."""
     fixed_base.clear()
     shutdown_pool()
-    bridge.shutdown()
 
 
 def stats() -> Dict[str, object]:
@@ -122,5 +118,4 @@ def stats() -> Dict[str, object]:
         "fixed_base": fixed_base.stats(),
         "pool": dict(_POOL.stats, workers=_POOL.workers,
                      usable=_POOL.usable) if _POOL is not None else None,
-        "bridge": bridge.stats(),
     }

@@ -91,8 +91,8 @@ class FixedBaseTable:
         # Hold the lock only to guarantee enough rows exist.  Rows are
         # append-only and never mutated in place, so indices < needed
         # stay valid under concurrent growth — the windowed evaluation
-        # itself runs lock-free and threads sharing a table (the bridge
-        # offload, chunked scans) no longer serialize per exponentiation.
+        # itself runs lock-free and threads sharing a table do not
+        # serialize per exponentiation.
         with self._lock:
             if needed > len(self.rows):
                 self._grow(needed)

@@ -23,7 +23,7 @@ _ENABLED = False
 _WINDOW = 5
 #: Bounded LRU capacity for fixed-base tables (distinct (base, modulus)).
 _CACHE_SIZE = 64
-#: Worker count for pools/bridges; ``None`` means "ask os.cpu_count()".
+#: Worker count for the process pool; ``None`` means "ask os.cpu_count()".
 _WORKERS: Optional[int] = None
 
 
@@ -67,14 +67,6 @@ def snapshot() -> Dict[str, object]:
             "cache_size": _CACHE_SIZE,
             "workers": _WORKERS,
         }
-
-
-def enable(workers: Optional[int] = None) -> None:
-    configure(enabled=True, workers=workers)
-
-
-def disable() -> None:
-    configure(enabled=False)
 
 
 def is_enabled() -> bool:

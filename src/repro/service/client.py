@@ -45,7 +45,6 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 from repro import metrics
-from repro.accel import bridge as accel_bridge
 from repro.core.handshake import HandshakeOutcome, HandshakePolicy
 from repro.errors import EncodingError, ProtocolError, TransportError
 from repro.net.runner import HandshakeDevice, SessionPlan
@@ -72,10 +71,6 @@ class ClientConfig:
     backoff_max: float = 2.0       # ceiling for one backoff delay (pre-jitter)
     backoff_jitter: float = 0.5    # uniform extra fraction of the delay
     deadline: float = 30.0         # overall cap: connect -> outcome
-    #: Run device crypto steps on the accel bridge instead of the event
-    #: loop.  Counts stay identical (the step runs under the same metric
-    #: scope with the caller's recorder pinned); only the thread changes.
-    offload: bool = False
     #: Trace context to send in HELLO (16 hex chars, repro.obs.spans).
     #: ``None`` = mint one automatically when the caller's recorder is
     #: tracing, else send no context.  The context is computed once per
@@ -335,12 +330,8 @@ async def _join(member, config: ClientConfig,
         with obs.span("handshake", trace=trace_ctx or None, m=welcome.m,
                       transport="socket", party=welcome.index,
                       token=ready.token):
-            if config.offload:
-                await accel_bridge.run(device.start,
-                                       scope=device.metrics_scope)
-            else:
-                with metrics.scope(device.metrics_scope):
-                    device.start()
+            with metrics.scope(device.metrics_scope):
+                device.start()
             await _flush(writer, link)
 
             while device.outcome is None:
@@ -358,14 +349,11 @@ async def _join(member, config: ClientConfig,
                         msg_id=next(msg_ids), sender=None,
                         recipient=device.name, channel=plan.channel,
                         payload=_retuple(message.payload))
-                    nbytes = len(blob) + framing.HEADER_SIZE
-                    if config.offload:
-                        await accel_bridge.run(
-                            _deliver_step, device, delivered, nbytes,
-                            scope=device.metrics_scope)
-                    else:
-                        with metrics.scope(device.metrics_scope):
-                            _deliver_step(device, delivered, nbytes)
+                    with metrics.scope(device.metrics_scope):
+                        metrics.count_message_received(
+                            len(blob) + framing.HEADER_SIZE)
+                        metrics.bump(f"received:{device.name}")
+                        device.on_message(delivered)
                     await _flush(writer, link)
                 elif isinstance(message, protocol.Migrated):
                     # Live migration: the room moved to a peer shard and
@@ -412,16 +400,6 @@ async def _join(member, config: ClientConfig,
             writer.close()
         except Exception:
             pass
-
-
-def _deliver_step(device: HandshakeDevice, delivered: Message,
-                  nbytes: int) -> None:
-    """One delivery into the device state machine: count the frame, then
-    step.  Runs under ``hs:<i>`` either inline on the event loop or on an
-    accel bridge thread — the books are identical either way."""
-    metrics.count_message_received(nbytes)
-    metrics.bump(f"received:{device.name}")
-    device.on_message(delivered)
 
 
 async def _flush(writer: asyncio.StreamWriter, link: _DeviceLink) -> None:

@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro import accel, metrics, revocation
-from repro.accel import bridge as accel_bridge
 from repro.errors import EncodingError, ProtocolError
 from repro.gate import checkpoint as gate_checkpoint
 from repro.gate.checkpoint import RoomCheckpoint
@@ -103,12 +102,6 @@ class ServerConfig:
     #: ``None`` disables shedding.  Joining an already-filling room is
     #: always admitted: the room charged its slot when it opened.
     max_rooms: Optional[int] = None
-    #: Move frame codec work (fan-out encodes, large-frame decodes) onto
-    #: the accel bridge threads so the event loop stays responsive while
-    #: relaying Phase III payloads.  Counting is unchanged: frames are
-    #: still counted on the loop, per recipient, under the room scope.
-    offload: bool = False
-    offload_threshold: int = 4096  # bridge-decode frames at least this big
     faults: Optional[FaultInjector] = None
     #: Deterministic token source for tests; production uses ``secrets``.
     token_rng: Optional[random.Random] = None
@@ -369,11 +362,7 @@ class _Room:
             metrics.bump("room-drops")
             return
         message = protocol.Deliver(payload=payload)
-        if self.server.config.offload:
-            frame = await accel_bridge.run(_encode_deliver, message,
-                                           scope=self.scope)
-        else:
-            frame = _encode_deliver(message)
+        frame = framing.encode_frame(protocol.encode_message(message))
         for _ in range(copies):
             for conn in self.members:
                 if conn is None or conn.index == sender or conn.kicked:
@@ -581,12 +570,6 @@ class _Room:
             self.abort("handshake-timeout")
 
 
-def _encode_deliver(message) -> bytes:
-    """Encode one DELIVER to a ready-to-send frame (bridge-friendly:
-    pure CPU, no loop state)."""
-    return framing.encode_frame(protocol.encode_message(message))
-
-
 class RendezvousServer:
     """The rendezvous service: accept loop + room registry.
 
@@ -779,9 +762,6 @@ class RendezvousServer:
         if blob is None:
             return None
         metrics.count_message_received(len(blob) + framing.HEADER_SIZE)
-        if (self.config.offload
-                and len(blob) >= self.config.offload_threshold):
-            return await accel_bridge.run(protocol.decode_message, blob)
         return protocol.decode_message(blob)
 
     async def _session(self, conn: _Connection) -> None:

@@ -179,6 +179,26 @@ class TestRoomSpans:
         assert len(by_name["handshake"]) == len(lineup)
         for phase in ("phase:I", "phase:II", "phase:III"):
             assert len(by_name[phase]) == len(lineup)
+        # One trace per party: the only roots are the room, and each
+        # party's connect and handshake; every hs:<i>, phase:* and gsig:*
+        # span reaches its party's handshake through parent links and
+        # carries that handshake's trace id.
+        roots = sorted(s.name for s in spans if s.parent_id is None)
+        assert roots == sorted(["room"] + ["connect", "handshake"]
+                               * len(lineup))
+        by_id = {s.span_id: s for s in spans}
+        for s in spans:
+            if not s.name.startswith(("hs:", "phase:", "gsig:")):
+                continue
+            ancestor = s
+            while ancestor is not None and ancestor.name != "handshake":
+                ancestor = by_id.get(ancestor.parent_id)
+            assert ancestor is not None, f"{s.name} lost its handshake"
+            party = (int(s.name[3:]) if s.name.startswith("hs:")
+                     else s.attrs.get("party"))
+            if party is not None:
+                assert ancestor.attrs["party"] == party, s.name
+            assert s.trace_id == ancestor.trace_id, s.name
         # And the trace never names the rendezvous room.
         for s in spans:
             assert "spanroom" not in str(sorted(s.attrs.items()))
