@@ -1,24 +1,17 @@
-"""Accel sweep — baseline vs batched vs pooled.
+"""Accel sweep — baseline vs batched.
 
-Three configurations of the same seeded handshake, m ∈ {2, 4, 8}:
+Two configurations of the same seeded handshake, m ∈ {2, 4, 8}:
 
-* ``baseline`` — accel disabled: plain ``pow`` everywhere, in-process.
+* ``baseline`` — accel disabled: plain ``pow`` everywhere.
 * ``batched``  — accel enabled: fixed-base tables plus one room-wide
   ScanCache (:mod:`repro.accel.batch`) deduplicating the Phase III
-  decrypt/verify scan across parties, in-process on one core.
-* ``pooled``   — the same, with the :mod:`repro.accel.pool` worker
-  processes as the Phase III executor (CASE 1 publications per party,
-  scans as one chunk per worker).
+  decrypt/verify scan across parties.
 
 The **counter-parity guard** is the heart of the benchmark and is always
-asserted, on any machine: all three configurations must produce
+asserted, on any machine: both configurations must produce
 bit-identical session keys and transcripts and identical per-party E1
 (modexp) / E2 (message) counts — acceleration that changes the books is
-a bug, not a speedup.  The pooled-vs-batched wall-clock bar for m=8
-(the pool must beat in-process execution) is asserted only on a
-multi-core runner (a single-core container cannot parallelise
-anything); the JSON artifact records whether the bar was enforced via
-``speedup_asserted``.
+a bug, not a speedup.
 
 The **batched verify scan** leg isolates the m=8 Phase III verification
 matrix (every member checks every other member's signature) and times it
@@ -48,7 +41,6 @@ SWEEP = (2, 4, 8)
 SEED = 52000
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JSON_PATH = os.path.join(REPO_ROOT, "BENCH_accel.json")
-SPEEDUP_BAR = 1.0
 SCAN_SPEEDUP_BAR = 1.3
 
 
@@ -56,12 +48,12 @@ def _seeded_rngs(m):
     return [random.Random(SEED + i) for i in range(m)]
 
 
-def _run_once(members, pool):
+def _run_once(members):
     rec = metrics.Recorder()
     with metrics.using(rec):
         started = time.perf_counter()
         outcomes = run_handshake(members, scheme1_policy(),
-                                 rngs=_seeded_rngs(len(members)), pool=pool)
+                                 rngs=_seeded_rngs(len(members)))
         wall = time.perf_counter() - started
     assert all(o.success for o in outcomes)
     return outcomes, rec.snapshot(), wall
@@ -84,8 +76,7 @@ def _fingerprint(outcomes, snapshot):
 
 def _mode_run(members, mode):
     accel.configure(enabled=mode != "baseline")
-    return _run_once(members,
-                     pool=accel.get_pool() if mode == "pooled" else None)
+    return _run_once(members)
 
 
 def _scan_items(members):
@@ -122,17 +113,15 @@ def _batched_scan_leg(members):
 
 
 def test_accel_sweep(benchmark, bench_scheme1):
-    modes = ("baseline", "batched", "pooled")
+    modes = ("baseline", "batched")
     results = {}
     scan_walls = {}
     try:
         # Warm-up outside the timed region: fixed-base tables build on
-        # first use and the process pool forks lazily — one-time costs
-        # that would otherwise be billed to whichever mode runs first.
+        # first use, a one-time cost that would otherwise be billed to
+        # the first batched room.
         accel.configure(enabled=True)
-        warm = bench_scheme1.members[:2]
-        _run_once(warm, pool=None)
-        _run_once(warm, pool=accel.get_pool())
+        _run_once(bench_scheme1.members[:2])
 
         def run():
             for m in SWEEP:
@@ -144,42 +133,36 @@ def test_accel_sweep(benchmark, bench_scheme1):
 
         benchmark.pedantic(run, rounds=1, iterations=1)
     finally:
-        accel.shutdown_pool()
         accel.configure(enabled=False)
 
     # Counter-parity guard (always on): identical outputs and books.
     parity_failures = [
-        f"m={m}: {mode} changed outputs or counters"
+        f"m={m}: batched changed outputs or counters"
         for m in SWEEP
-        for mode in modes[1:]
-        if _fingerprint(*results[m][mode][:2])
+        if _fingerprint(*results[m]["batched"][:2])
         != _fingerprint(*results[m]["baseline"][:2])
     ]
 
     cpus = os.cpu_count() or 1
     walls = {m: {mode: results[m][mode][2] for mode in modes} for m in SWEEP}
-    speedup_m8 = walls[8]["batched"] / walls[8]["pooled"]
-    speedup_asserted = cpus >= 2
     scan_speedup_m8 = scan_walls["sequential"] / scan_walls["batched"]
 
     rows = []
     for m in SWEEP:
-        snap = results[m]["pooled"][1]
-        e1 = snap["hs:0"].modexp
+        e1 = results[m]["batched"][1]["hs:0"].modexp
         rows.append((
             m, e1,
             f"{walls[m]['baseline']:.3f}",
             f"{walls[m]['batched']:.3f}",
-            f"{walls[m]['pooled']:.3f}",
-            f"{walls[m]['batched'] / walls[m]['pooled']:.2f}x",
+            f"{walls[m]['baseline'] / walls[m]['batched']:.2f}x",
         ))
     parity = ("COUNTER PARITY FAILED" if parity_failures
-              else "counters bit-identical across all modes")
+              else "counters bit-identical across both modes")
     emit(
         "accel_sweep",
-        f"Accel: baseline vs batched vs pooled ({cpus} CPUs; {parity}; "
+        f"Accel: baseline vs batched ({cpus} CPUs; {parity}; "
         f"m=8 scan {scan_speedup_m8:.2f}x batched)",
-        ("m", "E1/party", "base(s)", "batch(s)", "pool(s)", "pool-speedup"),
+        ("m", "E1/party", "base(s)", "batch(s)", "batch-speedup"),
         rows,
     )
 
@@ -190,23 +173,15 @@ def test_accel_sweep(benchmark, bench_scheme1):
                 "m": m,
                 "wall_baseline_s": round(walls[m]["baseline"], 6),
                 "wall_batched_s": round(walls[m]["batched"], 6),
-                "wall_pooled_s": round(walls[m]["pooled"], 6),
-                "modexp_per_party": results[m]["pooled"][1]["hs:0"].modexp,
-                "pool_tasks": results[m]["pooled"][1]["total"].extra.get(
-                    "accel:pool-tasks", 0),
-                "batch_chunks": results[m]["pooled"][1]["total"].extra.get(
-                    "accel:batch-chunks", 0),
+                "modexp_per_party": results[m]["batched"][1]["hs:0"].modexp,
                 "batch_scan_hits": results[m]["batched"][1]["total"].extra.get(
                     "accel:batch-scan-hit", 0),
-                "fb_hits": results[m]["pooled"][1]["total"].extra.get(
+                "fb_hits": results[m]["batched"][1]["total"].extra.get(
                     "accel:fb-hit", 0),
             }
             for m in SWEEP
         ],
         "counter_parity": "mismatch" if parity_failures else "ok",
-        "speedup_pooled_vs_inline_m8": round(speedup_m8, 4),
-        "speedup_bar": SPEEDUP_BAR,
-        "speedup_asserted": speedup_asserted,
         "scan_wall_sequential_m8_s": round(scan_walls["sequential"], 6),
         "scan_wall_batched_m8_s": round(scan_walls["batched"], 6),
         "speedup_batched_scan_m8": round(scan_speedup_m8, 4),
@@ -216,13 +191,9 @@ def test_accel_sweep(benchmark, bench_scheme1):
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    # The bars are asserted only after both artifacts are written, so a
-    # failing run still leaves its numbers behind.
+    # The guard and the bar are asserted only after both artifacts are
+    # written, so a failing run still leaves its numbers behind.
     assert not parity_failures, "; ".join(parity_failures)
-    if speedup_asserted:
-        assert speedup_m8 > SPEEDUP_BAR, (
-            f"pooled m=8 handshake only {speedup_m8:.2f}x faster than "
-            f"in-process on {cpus} cores (bar: > {SPEEDUP_BAR}x)")
     # The batched-scan bar holds on any machine: the saving is algebraic.
     assert scan_speedup_m8 >= SCAN_SPEEDUP_BAR, (
         f"batched m=8 verify scan only {scan_speedup_m8:.2f}x faster than "

@@ -22,9 +22,8 @@ SWEEP = (2, 3, 4, 6, 8)
 def _message_profile(world, policy, m: int):
     metrics.reset()
     run_handshake(world.members[:m], policy, world.rng)
-    # Read through the exporter view rather than poking Counters fields;
-    # "hs-sent:0" is an extra counter, resolved by the same accessor.
-    sent = metrics.value("total", "hs-sent:0")
+    # Read through the exporter view rather than poking Counters fields.
+    sent = metrics.value("hs:0", "messages_sent")
     received = metrics.value("hs:0", "messages_received")
     return sent, received
 

@@ -100,14 +100,9 @@ def _apply_accel(args: argparse.Namespace) -> None:
 def _accel_summary() -> str:
     stats = accel.stats()
     fb = stats["fixed_base"]
-    line = (f"accel: enabled={stats['enabled']} "
+    return (f"accel: enabled={stats['enabled']} "
             f"fixed-base hits/misses={fb['hits']}/{fb['misses']} "
             f"tables={fb['tables']}/{fb['capacity']}")
-    if stats["pool"]:
-        pool = stats["pool"]
-        line += (f" pool tasks={pool['tasks']} "
-                 f"inline={pool['inline']} workers={pool['workers']}")
-    return line
 
 
 def _demo(args: argparse.Namespace) -> int:
@@ -930,11 +925,9 @@ def _status(args: argparse.Namespace) -> int:
     accel_stats = status.get("accel")
     if accel_stats:
         fb = accel_stats.get("fixed_base", {})
-        pool = accel_stats.get("pool") or {}
         print(f"accel: enabled={accel_stats.get('enabled')}  "
               f"fixed-base hits/misses={fb.get('hits', 0)}/"
-              f"{fb.get('misses', 0)} tables={fb.get('tables', 0)}  "
-              f"pool tasks={pool.get('tasks', 0)}")
+              f"{fb.get('misses', 0)} tables={fb.get('tables', 0)}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Room-scale verification of Phase III signature scans (layer 1c).
+"""Room-scale verification of Phase III signature scans.
 
 The handshake's Phase III conclude makes every party verify every other
 party's group signature: ``8·(m-1)`` ACJT multi-exps per party,
@@ -10,15 +10,14 @@ recorder and replays the recorded counts into every later consumer's
 scopes.  Each party's books are bit-identical to having done the work
 itself (the E1 invariant survives because *charges* are duplicated even
 though *work* is not).  The engine
-(:func:`repro.core.handshake.run_handshake`) uses one cache per scan
-chunk whenever :mod:`repro.accel` is enabled; a worker pool only
-changes where the chunks run.
+(:func:`repro.core.handshake.run_handshake`) hands one cache to all the
+devices of a room whenever :mod:`repro.accel` is enabled.
 
 Every large SPK exponent (``s3``/``s_z``/``s_w3``) attaches to a
 long-lived base (the group public key, the Pedersen pair, the
 accumulator value), so the cached verifications evaluate out of a
-handful of shared :mod:`repro.accel.fixed_base` tables — see
-:func:`warm_member` and the per-epoch accumulator registration in
+handful of shared :mod:`repro.accel.fixed_base` tables, registered where
+the keys are generated and, per epoch, for the accumulator in
 :mod:`repro.gsig.acjt` (re-verifying after a rejoin at the same
 ``acc_epoch`` reuses the table; any epoch change unregisters it).
 
@@ -36,11 +35,7 @@ forbids.  So the honest win is amortization — shared tables, shared
 verdicts — and cached acceptance equals sequential acceptance exactly.
 
 New counters (extras, outside the guarded books):
-
-* ``accel:batch-scan-hit`` / ``accel:batch-scan-miss`` — cache reuse;
-* ``accel:batch-chunks`` — pool scan chunks shipped (one per worker
-  instead of one per party; see ``_run_scans`` in
-  :mod:`repro.core.handshake`).
+``accel:batch-scan-hit`` / ``accel:batch-scan-miss`` — cache reuse.
 """
 
 from __future__ import annotations
@@ -49,7 +44,6 @@ import threading
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro import metrics
-from repro.accel import fixed_base
 
 
 class ScanCache:
@@ -91,39 +85,6 @@ class ScanCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-
-# ---------------------------------------------------------------------------
-# Warm verification material.
-# ---------------------------------------------------------------------------
-
-
-def warm_member(member) -> None:
-    """Register a member's long-lived verification bases with the
-    fixed-base layer.
-
-    Parent-side this is a no-op (the key-generation sites and the
-    credential's ``apply_update`` already registered everything); its
-    real job is *worker-side*: pool processes are fresh interpreters
-    that never saw key generation run, so without this every chunked
-    scan would fall back to builtin ``pow`` for the very bases the
-    tables exist for.  Registration charges nothing, so books are
-    unaffected either way.
-    """
-    from repro.gsig import acjt, kty
-
-    try:
-        pk = member.info.gsig_public_key
-        credential = member.credential
-    except AttributeError:
-        return
-    if isinstance(credential, acjt.AcjtCredential):
-        for base in (pk.a, pk.a0, pk.g, pk.h, pk.y, pk.ped_g, pk.ped_h):
-            fixed_base.register_base(base, pk.n)
-        fixed_base.register_base(credential.acc_value, pk.n)
-    elif isinstance(credential, kty.KtyCredential):
-        for base in (pk.a, pk.a0, pk.b, pk.g, pk.h, pk.y):
-            fixed_base.register_base(base, pk.n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Global configuration for the acceleration subsystem.
 
 Kept in its own leaf module (no imports beyond the standard library) so
-``fixed_base``/``multi_exp``/``pool`` can consult the switches without
+``fixed_base``/``multi_exp`` can consult the switches without
 pulling in the package ``__init__`` — which would create an import cycle
 through :mod:`repro.crypto.modmath`.
 
@@ -23,21 +23,18 @@ _ENABLED = False
 _WINDOW = 5
 #: Bounded LRU capacity for fixed-base tables (distinct (base, modulus)).
 _CACHE_SIZE = 64
-#: Worker count for the process pool; ``None`` means "ask os.cpu_count()".
-_WORKERS: Optional[int] = None
 
 
 def configure(enabled: Optional[bool] = None,
               window: Optional[int] = None,
               cache_size: Optional[int] = None,
-              workers: Optional[int] = None,
               batch: Optional[bool] = None) -> Dict[str, object]:
     """Update any subset of the switches; returns the resulting snapshot.
 
     ``batch`` is accepted only as ``True`` for older callers: room-scale
     batch verification is not a switch any more, it runs whenever the
     subsystem is enabled."""
-    global _ENABLED, _WINDOW, _CACHE_SIZE, _WORKERS
+    global _ENABLED, _WINDOW, _CACHE_SIZE
     if batch is not None and not batch:
         raise ValueError("batch verification cannot be turned off; "
                          "disable the subsystem instead (enabled=False)")
@@ -52,10 +49,6 @@ def configure(enabled: Optional[bool] = None,
             if int(cache_size) < 1:
                 raise ValueError("cache_size must be >= 1")
             _CACHE_SIZE = int(cache_size)
-        if workers is not None:
-            if int(workers) < 1:
-                raise ValueError("workers must be >= 1")
-            _WORKERS = int(workers)
         return snapshot()
 
 
@@ -65,7 +58,6 @@ def snapshot() -> Dict[str, object]:
             "enabled": _ENABLED,
             "window": _WINDOW,
             "cache_size": _CACHE_SIZE,
-            "workers": _WORKERS,
         }
 
 
@@ -79,7 +71,3 @@ def window() -> int:
 
 def cache_size() -> int:
     return _CACHE_SIZE
-
-
-def workers() -> Optional[int]:
-    return _WORKERS

@@ -1,10 +1,11 @@
 """DGKA interface (paper Fig. 5).
 
 A protocol run involves ``m`` instances ``Pi_U^i``.  We model each instance
-as a :class:`DgkaParty` driven through synchronous broadcast rounds: in
-round ``r`` every party emits a payload (or ``None``), then receives the
-payloads of all parties.  On completion each instance exposes the Fig. 5
-variables:
+as a :class:`DgkaParty` driven through broadcast rounds: in round ``r``
+the parties :meth:`DgkaParty.speakers` names emit a payload, and each
+party absorbs the round once it holds all of them.  Burmester-Desmedt
+names every party in every round; GDH.2's chain names one.  On
+completion each instance exposes the Fig. 5 variables:
 
 * ``acc`` — success flag,
 * ``sid`` — session id (hash of all messages sent and received, per the
@@ -29,12 +30,6 @@ from repro.errors import ProtocolError, SessionError
 class DgkaParty(abc.ABC):
     """One protocol instance Pi_U^i."""
 
-    #: True when every party broadcasts in every round (e.g. Burmester-
-    #: Desmedt).  Chain protocols with per-round single speakers (GDH.2)
-    #: set this False; broadcast-relay drivers check it up front instead
-    #: of deadlocking mid-session waiting for silent parties.
-    all_speak: bool = True
-
     def __init__(self, index: int, m: int) -> None:
         if not 0 <= index < m or m < 2:
             raise SessionError(f"bad party index {index} for m={m}")
@@ -50,6 +45,11 @@ class DgkaParty(abc.ABC):
     @abc.abstractmethod
     def rounds(self) -> int:
         """Number of synchronous broadcast rounds."""
+
+    def speakers(self, round_no: int) -> Sequence[int]:
+        """The parties that broadcast in ``round_no`` (default: all); a
+        round is complete once each of them has been heard."""
+        return range(self.m)
 
     @abc.abstractmethod
     def emit(self, round_no: int) -> Optional[object]:

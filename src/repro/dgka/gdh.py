@@ -12,8 +12,8 @@ An upflow chain followed by one broadcast:
 
 Cost: party ``i`` performs ``i + 1`` exponentiations; the last party does
 ``m`` — the O(m) exponentiation profile benchmark E9 contrasts with BD's
-constant.  Fits the same round-driver as BD by treating "no message" rounds
-as silent.
+constant.  Fits the same round-driver as BD: :meth:`GdhParty.speakers`
+names the one party that speaks in each round.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ class GdhParty(DgkaParty):
     ``m-1`` is the final broadcast by party ``m-1``.
     """
 
-    all_speak = False   # chain protocol: one speaker per round
-
     def __init__(self, index: int, m: int,
                  group: Optional[DHParams] = None,
                  rng: Optional[random.Random] = None) -> None:
@@ -50,6 +48,10 @@ class GdhParty(DgkaParty):
     @property
     def rounds(self) -> int:
         return self.m
+
+    def speakers(self, round_no: int):
+        # The chain: party i speaks in round i, the last one broadcasts.
+        return (round_no,)
 
     def emit(self, round_no: int):
         p, g = self.group.p, self.group.g

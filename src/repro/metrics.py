@@ -60,7 +60,7 @@ Asyncio guidance: a :class:`contextvars.ContextVar` is copied into every
 task at *creation* time, so tasks spawned inside ``with using(rec):``
 inherit ``rec``; tasks spawned **before** the swap keep whatever recorder
 their creation context had (usually the shared per-thread one) and will
-interleave their counts with every other such task.  Either spawn workers
+interleave their counts with every other such task.  Either spawn tasks
 inside the ``using`` block, or call :meth:`Recorder.bind_task` first thing
 inside the task body to pin its books explicitly.
 """
@@ -133,9 +133,9 @@ FIELDS: Tuple[str, ...] = (
     "wall_time",
 )
 
-#: Fields a worker's books can be replayed into a parent recorder
-#: (:func:`replay`): everything except wall time, which overlaps the
-#: parent's clock and would double-book.
+#: Fields a detached recorder's books can be replayed into the current
+#: one (:func:`replay`): everything except wall time, which overlaps the
+#: current clock and would double-book.
 REPLAY_FIELDS: Tuple[str, ...] = tuple(f for f in FIELDS if f != "wall_time")
 
 _REPLAY_SET = frozenset(REPLAY_FIELDS)
@@ -510,9 +510,10 @@ def detached(recorder: Optional[Recorder] = None) -> Iterator[Recorder]:
     :func:`using` alone does not isolate a measurement: frames already on
     the scope stack keep charging their counter objects — which belong to
     the *outer* recorder — through :func:`_charged`.  A record-here,
-    replay-there block (the worker-pool inline fallback, the batch-scan
-    memo) run inline under active scopes would therefore charge those
-    scopes twice: once by leak-through, once by the replay.  Detaching
+    replay-there block (the batch-scan memo,
+    :class:`repro.accel.batch.ScanCache`) run under active scopes would
+    therefore charge those scopes twice: once by leak-through, once by
+    the replay.  Detaching
     clears the stack too, so the block's counts land only in the fresh
     recorder; the caller replays them wherever they belong.
     """
@@ -676,8 +677,8 @@ def bump(name: str, amount: int = 1) -> None:
 def replayable_totals(recorder: Recorder) -> Dict[str, int]:
     """The non-zero totals of ``recorder`` as a flat dict :func:`replay`
     accepts: fixed :data:`REPLAY_FIELDS` plus ``extra`` counters, wall
-    time excluded.  The record-elsewhere/replay-here half of the worker
-    pool and batch-scan protocols."""
+    time excluded.  The record-elsewhere half of the batch-scan memo's
+    record-elsewhere/replay-here protocol."""
     totals = recorder.total()
     counts: Dict[str, int] = {}
     for name in REPLAY_FIELDS:
@@ -692,12 +693,13 @@ def replayable_totals(recorder: Recorder) -> Dict[str, int]:
 
 def replay(counts: Dict[str, int]) -> None:
     """Charge a bulk dict of counts produced under *another* recorder —
-    e.g. a :mod:`repro.accel.pool` worker process — to the current one.
+    e.g. a :class:`repro.accel.batch.ScanCache` entry computed once under
+    a detached recorder — to the current one.
 
     Keys are fixed field names (:data:`REPLAY_FIELDS`) or ``extra``
     counter names; everything is charged to the total plus each distinct
     active scope, exactly as if the operations had run inline here.
-    ``wall_time`` keys are ignored (worker clocks overlap the parent's).
+    ``wall_time`` keys are ignored (they overlap the current clock).
     """
     if not counts:
         return
@@ -737,7 +739,7 @@ def value(scope_name: str, field_name: str, default: int = 0) -> object:
     """One value out of the current snapshot, via the exporter view.
 
     ``field_name`` may be a fixed field (``"modexp"``) or an ``extra``
-    key (``"hs-sent:0"``).  Missing scope or field yields ``default`` —
+    key (``"inversions"``).  Missing scope or field yields ``default`` —
     benchmark code reads counters through this instead of poking
     :class:`Counters` attributes."""
     counters = snapshot().get(scope_name)

@@ -68,9 +68,9 @@ class Party:
     Subclasses override :meth:`on_message`; they send through the network
     handle passed at registration.  ``metrics_scope`` names the scope all
     of the party's deliveries (and whatever work they trigger) are charged
-    to; subclasses may override it to align with other engines' scope
-    naming (e.g. :class:`repro.net.runner.HandshakeDevice` uses ``hs:<i>``
-    to match the synchronous driver).
+    to; subclasses may override it, and :meth:`receive` too (e.g.
+    :class:`repro.core.handshake.HandshakeDevice` uses ``hs:<i>`` on
+    every transport and also books each receipt to its protocol phase).
     """
 
     def __init__(self, name: str) -> None:
@@ -84,6 +84,12 @@ class Party:
     def attached(self, network: "Network") -> None:
         """Hook called when the party is registered."""
         self.network = network
+
+    def receive(self, message: Message, nbytes: int = 0) -> None:
+        """Book one delivery of ``nbytes`` wire bytes and handle it.  The
+        transport calls this inside :attr:`metrics_scope`."""
+        metrics.count_message_received(nbytes)
+        self.on_message(message)
 
     def on_message(self, message: Message) -> None:  # pragma: no cover - base
         """Handle a delivered message (default: ignore)."""
@@ -215,9 +221,8 @@ class Network:
         nbytes = delivered.size
         for party in targets:
             with metrics.scope(party.metrics_scope):
-                metrics.count_message_received(nbytes)
                 metrics.bump(f"received:{party.name}")
-                party.on_message(delivered)
+                party.receive(delivered, nbytes)
         self._delivered.append(delivered)
 
     # Introspection ----------------------------------------------------------------

@@ -6,7 +6,7 @@ manager keeps the current span in a :class:`contextvars.ContextVar`, so
 parent links are correct across threads *and* asyncio tasks (each task
 gets a copy of the context at creation, exactly like the metrics scope
 stack).  State machines that cannot bracket their work in a ``with``
-block (e.g. :class:`repro.net.runner.HandshakeDevice`, whose phases end
+block (e.g. :class:`repro.core.handshake.HandshakeDevice`, whose phases end
 inside message callbacks) use :func:`start_span` / :meth:`Span.end` with
 explicit parents instead.
 

@@ -1,8 +1,8 @@
 """Service layer: the GCD handshake over real asyncio TCP sockets.
 
 The simulator (:mod:`repro.net.simulator`) executes the protocol in-process;
-this package runs the *same* :class:`repro.net.runner.HandshakeDevice` state
-machines over genuine network streams, through an untrusted rendezvous
+this package runs the *same* :class:`repro.core.handshake.HandshakeDevice`
+state machines over genuine network streams, through an untrusted rendezvous
 relay — exactly the paper's anonymous-broadcast-channel assumption realised
 as infrastructure:
 

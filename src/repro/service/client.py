@@ -1,7 +1,7 @@
 """Async participant driver: one GCD party over the rendezvous service.
 
 :func:`join_room` connects a member to the server, joins a named room, and
-drives a :class:`repro.net.runner.HandshakeDevice` — the exact state
+drives a :class:`repro.core.handshake.HandshakeDevice` — the exact state
 machine the in-process simulator runs — by translating between device
 broadcasts and BROADCAST/DELIVER frames.  Because the device code and the
 payload encoding are shared, per-party operation counts (modexp, messages
@@ -350,10 +350,9 @@ async def _join(member, config: ClientConfig,
                         recipient=device.name, channel=plan.channel,
                         payload=_retuple(message.payload))
                     with metrics.scope(device.metrics_scope):
-                        metrics.count_message_received(
-                            len(blob) + framing.HEADER_SIZE)
                         metrics.bump(f"received:{device.name}")
-                        device.on_message(delivered)
+                        device.receive(delivered,
+                                       len(blob) + framing.HEADER_SIZE)
                     await _flush(writer, link)
                 elif isinstance(message, protocol.Migrated):
                     # Live migration: the room moved to a peer shard and

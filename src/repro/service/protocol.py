@@ -57,7 +57,7 @@ Introspection (one-shot, in place of HELLO)::
                                        telemetry, docs/OBSERVABILITY.md)
 
 ``BROADCAST``/``DELIVER`` payloads are the exact tuples
-:class:`repro.net.runner.HandshakeDevice` exchanges over the simulator —
+:class:`repro.core.handshake.HandshakeDevice` exchanges over the simulator —
 the service adds framing and relay, not a new message format.
 """
 

@@ -6,7 +6,7 @@ once ``m`` of them have arrived the room activates under a random,
 unlinkable session token and every BROADCAST a member sends is fanned out
 to the other members through a single per-room FIFO queue — the same
 total-order guarantee :class:`repro.net.simulator.Network` gives, so the
-:class:`repro.net.runner.HandshakeDevice` state machines run unchanged.
+:class:`repro.core.handshake.HandshakeDevice` state machines run unchanged.
 Deliveries carry no transport-level sender identity (the relay strips it),
 mirroring the simulator's anonymous channels.
 

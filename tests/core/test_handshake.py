@@ -1,6 +1,8 @@
 """Handshake-engine tests for both instantiations: correctness matrix,
 outcome structure, policies, MITM, self-distinction, decoys."""
 
+import random
+
 import pytest
 
 from repro.core.handshake import HandshakePolicy, run_handshake, xor_keys
@@ -18,6 +20,24 @@ class TestXorKeys:
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
             xor_keys(b"ab", b"abc")
+
+
+class TestEngineValidation:
+    M = 5
+
+    def _lineup(self, world):
+        return world.lineup(*sorted(world.members)[:self.M])
+
+    def test_rngs_must_match_party_count(self, service_world):
+        with pytest.raises(ParameterError):
+            run_handshake(self._lineup(service_world), scheme1_policy(),
+                          rngs=[random.Random(1)] * (self.M - 1))
+
+    def test_per_party_rngs_run_inline(self, service_world):
+        outcomes = run_handshake(
+            self._lineup(service_world), scheme1_policy(),
+            rngs=[random.Random(42 + i) for i in range(self.M)])
+        assert all(o.success for o in outcomes)
 
 
 class TestScheme1Correctness:

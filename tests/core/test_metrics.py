@@ -106,7 +106,7 @@ class TestHandshakeAccounting:
         snap = metrics.snapshot()
         # Each party broadcasts: 2 DGKA rounds + 1 tag + 1 (theta, delta).
         for i in range(3):
-            assert snap["total"].extra[f"hs-sent:{i}"] == 4
+            assert snap[f"hs:{i}"].messages_sent == 4
 
     def test_messages_linear_in_m(self, scheme1_world):
         counts = {}

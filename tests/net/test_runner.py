@@ -1,7 +1,5 @@
 """Tests for the network-driven handshake runner and the network MITM."""
 
-import pytest
-
 from repro.core.scheme1 import scheme1_policy
 from repro.core.scheme2 import scheme2_policy
 from repro.net.adversary import Eavesdropper, ManInTheMiddle
@@ -19,34 +17,44 @@ class TestSessionPlan:
         assert plan.channel == "handshake/s"
 
 
-class TestChainDgkaRejected:
-    def test_gdh_policy_raises_up_front(self, scheme1_world):
-        """GDH.2 has per-round single speakers; the broadcast driver would
-        deadlock waiting for silent parties, so device construction must
-        fail fast with a clear error instead."""
+class TestChainDgka:
+    """GDH.2 names one speaker per round; each device waits only for the
+    senders its DGKA names, so the chain runs on every transport."""
+
+    @staticmethod
+    def _policy():
         from repro.core.handshake import HandshakePolicy
         from repro.dgka.gdh import GdhParty
-        from repro.errors import ProtocolError
-        from repro.net.runner import HandshakeDevice
 
-        policy = HandshakePolicy(
+        return HandshakePolicy(
             dgka_factory=lambda i, m, rng: GdhParty(i, m, rng=rng))
-        plan = SessionPlan("chain", ["device-0", "device-1"])
-        with pytest.raises(ProtocolError, match="chain-style"):
-            HandshakeDevice("device-0", scheme1_world.members["alice"],
-                            plan, policy, scheme1_world.rng)
 
-    def test_run_over_network_propagates(self, scheme1_world):
-        from repro.core.handshake import HandshakePolicy
-        from repro.dgka.gdh import GdhParty
-        from repro.errors import ProtocolError
+    def test_gdh_room_succeeds_on_the_simulator(self, scheme1_world):
+        import random
 
-        policy = HandshakePolicy(
-            dgka_factory=lambda i, m, rng: GdhParty(i, m, rng=rng))
-        with pytest.raises(ProtocolError, match="chain-style"):
-            run_handshake_over_network(
-                scheme1_world.lineup("alice", "bob"), policy,
-                scheme1_world.rng, session_id="chain-net")
+        outcomes = run_handshake_over_network(
+            scheme1_world.lineup("alice", "bob", "carol"), self._policy(),
+            scheme1_world.rng, network=Network(reorder_rng=random.Random(3)),
+            session_id="chain-net")
+        assert all(o.success for o in outcomes)
+        assert len({o.session_key for o in outcomes}) == 1
+
+    def test_gdh_room_succeeds_over_sockets(self, scheme1_world):
+        import asyncio
+
+        from repro.service import (ClientConfig, RendezvousServer,
+                                   ServerConfig, run_room)
+
+        async def room():
+            async with RendezvousServer(ServerConfig()) as server:
+                cfg = ClientConfig(port=server.port, room="chain")
+                return await asyncio.wait_for(
+                    run_room(scheme1_world.lineup("alice", "bob", "carol"),
+                             cfg, self._policy()), 60)
+
+        outcomes = asyncio.run(room())
+        assert all(o.success for o in outcomes)
+        assert len({o.session_key for o in outcomes}) == 1
 
 
 class TestNetworkHandshake:

@@ -124,6 +124,29 @@ class TestStats:
         assert "percentiles" in out and "p99" in out
 
 
+class TestStatsPhaseRows:
+    #: ``repro stats -m 2 4`` phase rows (scheme 1, default seed):
+    #: modexp, messages sent, messages received.
+    EXPECTED = {
+        2: {"phase:I": (8, 4, 4), "phase:II": (0, 2, 2),
+            "phase:III": (108, 2, 2)},
+        4: {"phase:I": (24, 8, 24), "phase:II": (0, 4, 12),
+            "phase:III": (400, 4, 12)},
+    }
+
+    def test_phase_rows_are_pinned(self, capsys):
+        assert cli.main(["stats", "-m", "2", "4"]) == 0
+        rows, m = {}, None
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("m="):
+                m = int(line[2:].split()[0])
+            elif line.startswith("phase:"):
+                name, modexp, sent, received = line.split()[:4]
+                rows.setdefault(m, {})[name] = (int(modexp), int(sent),
+                                                int(received))
+        assert rows == self.EXPECTED
+
+
 class TestTrace:
     def test_sim_transport_renders_gantt_and_exports(self, tmp_path, capsys):
         import json
