@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.accel import batch, fixed_base, state
-from repro.accel.batch import ScanCache, verify_room
+from repro.accel.batch import ScanCache
 from repro.accel.fixed_base import (FixedBaseTable, lookup_pow,
                                     register_base, unregister_base)
 from repro.accel.multi_exp import multi_exp
@@ -43,7 +43,6 @@ __all__ = [
     "reset",
     "stats",
     "unregister_base",
-    "verify_room",
 ]
 
 

@@ -41,7 +41,7 @@ New counters (extras, outside the guarded books):
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Tuple
 
 from repro import metrics
 
@@ -86,41 +86,3 @@ class ScanCache:
         with self._lock:
             return len(self._entries)
 
-
-# ---------------------------------------------------------------------------
-# The room scan (benchmark / test harness view of Phase III conclude).
-# ---------------------------------------------------------------------------
-
-
-def verify_room(members, items: Iterable[Tuple[bytes, bytes]],
-                expected_shield: Optional[int] = None,
-                cache: Optional[ScanCache] = None,
-                ) -> List[List[Optional[bool]]]:
-    """The Phase III verify scan without the transport around it: every
-    member checks every other member's ``(message, blob)`` publication.
-
-    Returns one verdict row per member (``None`` at its own index).
-    With ``cache`` the scan runs batched — distinct ``(context, blob)``
-    pairs verified once, counters replayed — and without it each member
-    verifies everything itself, exactly like the sequential engine path.
-    Used by ``benchmarks/bench_accel.py`` and the parity tests.
-    """
-    rows: List[List[Optional[bool]]] = []
-    items = list(items)
-    for index, member in enumerate(members):
-        context = member.verification_context() if cache is not None else None
-        row: List[Optional[bool]] = []
-        for j, (message, blob) in enumerate(items):
-            if j == index:
-                row.append(None)
-                continue
-            if cache is None:
-                row.append(member.gsig_verify(
-                    message, blob, expected_shield=expected_shield))
-            else:
-                row.append(cache.compute(
-                    ("ver", context, expected_shield, message, blob),
-                    lambda m=message, b=blob, mem=member: mem.gsig_verify(
-                        m, b, expected_shield=expected_shield)))
-        rows.append(row)
-    return rows

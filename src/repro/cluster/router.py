@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro import metrics
-from repro.cluster.health import DEAD, HealthMonitor, ShardHandle
+from repro.cluster.health import DEAD, UP, HealthMonitor, ShardHandle
 from repro.cluster.placement import HashRing
 from repro.cluster.shard import ShardSpec
 from repro.errors import EncodingError, FrameError, ProtocolError
@@ -645,18 +645,18 @@ class ClusterRouter:
                                 writer: asyncio.StreamWriter) -> None:
         """Choose a shard for the room, replay the HELLO, then splice
         frames both ways until either side hangs up."""
-        gate = self._migrating_rooms.get(hello.room)
-        if gate is not None:
-            # The room is mid-hop: placing now could open a duplicate on
-            # the target before the restore lands.  Wait out the hop.
-            try:
-                await asyncio.wait_for(gate.wait(),
-                                       self.config.migrate_timeout)
-            except asyncio.TimeoutError:
-                pass
         preferred = self.ring.place(hello.room)
         tried: set = set()
         while True:
+            gate = self._migrating_rooms.get(hello.room)
+            if gate is not None:
+                # The room is mid-hop: placing now could open a duplicate
+                # on the target before the restore lands.  Wait out the hop.
+                try:
+                    await asyncio.wait_for(gate.wait(),
+                                           self.config.migrate_timeout)
+                except asyncio.TimeoutError:
+                    pass
             live = {h.shard_id for h in self.monitor.live()}
             shard_id = self.ring.place(hello.room, only=live - tried)
             if shard_id is None:
@@ -671,11 +671,18 @@ class ClusterRouter:
             try:
                 shard_reader, shard_writer = await asyncio.open_connection(
                     handle.spec.host, handle.port)
-                break
             except OSError:
                 # Died between heartbeat and dial: record it, walk on.
                 tried.add(shard_id)
                 self.monitor.mark_dead(handle, why="connect-refused")
+                continue
+            if (handle.state == UP
+                    and self._migrating_rooms.get(hello.room) in (None, gate)):
+                break
+            # A drain began during the dial.  drain_shard has already
+            # collected the donor's splices, so one bound now would never
+            # be moved: hang up and place again.
+            shard_writer.close()
         with metrics.scope(handle.spec.scope):
             metrics.bump("svc-cluster:placements")
             if shard_id != preferred:

@@ -31,8 +31,9 @@ Versioning rules
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ProtocolError
 
@@ -99,7 +100,10 @@ class RoomCheckpoint:
     @classmethod
     def from_payload(cls, payload: object) -> "RoomCheckpoint":
         """Parse and validate a pipe payload (forward-tolerant reader:
-        unknown keys are ignored; unknown *versions* are refused)."""
+        unknown keys are ignored; unknown *versions* are refused).  Every
+        field is checked here, so a malformed payload is a
+        :class:`ProtocolError` before a restoring server changes any
+        state."""
         if not isinstance(payload, dict):
             raise ProtocolError("room checkpoint payload is not a mapping")
         version = payload.get("version")
@@ -118,8 +122,10 @@ class RoomCheckpoint:
                 f"room checkpoint missing field {exc.args[0]!r}") from exc
         if not isinstance(name, str) or not isinstance(token, str):
             raise ProtocolError("room checkpoint name/token must be strings")
-        if not isinstance(m, int) or not isinstance(members, int):
+        if not _is_int(m) or not _is_int(members):
             raise ProtocolError("room checkpoint m/members must be ints")
+        if m < 2:
+            raise ProtocolError(f"room checkpoint roster size {m} below 2")
         if state not in (FILLING, ACTIVE):
             raise ProtocolError(
                 f"room checkpoint state {state!r} is not filling/active")
@@ -128,28 +134,58 @@ class RoomCheckpoint:
                 f"room checkpoint occupancy {members} outside [0, {m}]")
         if state == ACTIVE and members != m:
             raise ProtocolError("active room checkpoint must be full")
-        done = tuple(int(i) for i in payload.get("done") or ())
-        if any(not 0 <= i < m for i in done):
+        done = _optional(payload, "done", ())
+        if not isinstance(done, (list, tuple)) or not all(
+                _is_int(i) and 0 <= i < m for i in done):
             raise ProtocolError("room checkpoint DONE index out of roster")
-        pending: List[Tuple[int, object]] = []
-        for entry in payload.get("pending") or ():
-            sender, item = entry
-            sender = int(sender)
-            if not 0 <= sender < m:
+        pending = _optional(payload, "pending", ())
+        if not isinstance(pending, (list, tuple)) or not all(
+                isinstance(entry, (list, tuple)) and len(entry) == 2
+                and _is_int(entry[0]) and 0 <= entry[0] < m
+                for entry in pending):
+            raise ProtocolError(
+                "room checkpoint pending sender out of roster")
+        for key in ("fill_remaining_s", "handshake_remaining_s"):
+            budget = payload.get(key)
+            if budget is not None and not (
+                    isinstance(budget, (int, float))
+                    and not isinstance(budget, bool)
+                    and math.isfinite(budget)):
                 raise ProtocolError(
-                    "room checkpoint pending sender out of roster")
-            pending.append((sender, item))
-        counters = {str(k): int(v)
-                    for k, v in (payload.get("counters") or {}).items()}
+                    f"room checkpoint {key} must be a number or None")
+        trace = _optional(payload, "trace", "")
+        phase_kind = payload.get("phase_kind")
+        if not isinstance(trace, str) or not (
+                phase_kind is None or isinstance(phase_kind, str)):
+            raise ProtocolError(
+                "room checkpoint trace/phase_kind must be strings")
+        relayed = _optional(payload, "relayed", 0)
+        if not _is_int(relayed) or relayed < 0:
+            raise ProtocolError("room checkpoint relayed must be an int >= 0")
+        counters = _optional(payload, "counters", {})
+        if not isinstance(counters, dict) or not all(
+                isinstance(k, str) and _is_int(v)
+                for k, v in counters.items()):
+            raise ProtocolError(
+                "room checkpoint counters must map names to ints")
         return cls(
             name=name, token=token, m=m, state=state, members=members,
-            trace=str(payload.get("trace") or ""),
-            done=done, pending=tuple(pending),
+            trace=trace, done=tuple(done),
+            pending=tuple((sender, item) for sender, item in pending),
             fill_remaining_s=payload.get("fill_remaining_s"),
             handshake_remaining_s=payload.get("handshake_remaining_s"),
-            relayed=int(payload.get("relayed") or 0),
-            phase_kind=payload.get("phase_kind"),
-            counters=counters)
+            relayed=relayed, phase_kind=phase_kind,
+            counters=dict(counters))
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _optional(payload: dict, key: str, default: object) -> object:
+    """An optional field: absent or None reads as ``default``."""
+    value = payload.get(key)
+    return default if value is None else value
 
 
 __all__ = ["CHECKPOINT_VERSION", "RoomCheckpoint", "FILLING", "ACTIVE"]

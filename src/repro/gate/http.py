@@ -201,9 +201,14 @@ class HttpGateway:
                     length = int(value.strip())
                 except ValueError:
                     raise _HttpError(400, "bad Content-Length")
+        if length < 0:
+            raise _HttpError(400, "bad Content-Length")
         if length > _MAX_BODY:
             raise _HttpError(413, "body too large")
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except (asyncio.IncompleteReadError, ConnectionError, OSError):
+            raise _HttpError(400, "truncated body")
         path = target.split("?", 1)[0]
         return method.upper(), path, body
 

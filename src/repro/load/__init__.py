@@ -22,8 +22,8 @@ supplies both halves of the capacity-planning story:
   saturate at X rooms/sec").
 
 CLI: ``python -m repro load --rate 2 --duration 10 --mix 2:0.7,3:0.3
---shards 2``.  Benchmark: ``benchmarks/bench_load.py`` (artifact
-``BENCH_load.json``).  Docs: ``docs/PERFORMANCE.md`` (capacity model),
+--shards 2``.  Tests: ``tests/load`` (a sustained and an overload run,
+books model-exact).  Docs: ``docs/PERFORMANCE.md`` (capacity model),
 ``docs/OBSERVABILITY.md`` (the ``load:*`` counter family).
 """
 

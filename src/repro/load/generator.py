@@ -110,7 +110,7 @@ class RoomResult:
         return self.completed_s - self.arrival_s
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-able schema shared with the closed-loop cluster bench."""
+        """JSON-able schema of one room (load reports, gateway rooms)."""
         rnd = lambda v: None if v is None else round(v, 6)  # noqa: E731
         return {
             "room": self.room,
@@ -149,9 +149,11 @@ async def run_timed_room(members: Sequence[object], config: ClientConfig,
     order, outcomes aligned with ``members``) but additionally records,
     relative to ``epoch`` (default: now): first WELCOME, room filled, and
     completion instants — the schema both the open-loop driver and the
-    closed-loop cluster bench emit, so their runs are directly
-    comparable.  Runs under a fresh recorder; the room's full books ride
-    along in the result (and are validated against ``model`` when given).
+    HTTP gateway report, so their runs are directly comparable.  Runs
+    under a fresh recorder; the room's full books ride along in the
+    result (and are validated against ``model`` when given).  Its
+    ``svc-client:*`` retry counters therefore never reach the caller's
+    recorder: read them from :attr:`RoomResult.counters`.
     """
     epoch = time.perf_counter() if epoch is None else epoch
     spawned_s = time.perf_counter() - epoch
@@ -161,9 +163,10 @@ async def run_timed_room(members: Sequence[object], config: ClientConfig,
     m = len(members)
     cfg = ClientConfig(**{**config.__dict__, "m": m})
     recorder = metrics.Recorder()
-    # Tracing is inherited from the caller (the load driver / bench): one
-    # trace id per *room*, minted here — not per member — so all m
-    # members send the same context and the server-side room joins it.
+    # Tracing is inherited from the caller (the load driver, the
+    # gateway): one trace id per *room*, minted here — not per member —
+    # so all m members send the same context and the server-side room
+    # joins it.
     recorder.tracing = metrics.current_recorder().tracing
     trace_id: Optional[str] = None
     if recorder.tracing:

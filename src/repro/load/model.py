@@ -287,8 +287,9 @@ def capacity_report(*, scheme: str, mean_m: float, shards: int,
       open rooms, each occupying its slot for the mean room lifetime
       ``E[S]``; by Little's law the fleet saturates at
       ``shards · max_rooms / E[S]`` rooms/sec (the Erlang-loss corner:
-      offered load beyond it is shed as BUSY, which the open-loop bench
-      demonstrates).  Unlimited admission -> no bound from this term.
+      offered load beyond it is shed as BUSY, which the open-loop
+      driver's overload test demonstrates).  Unlimited admission -> no
+      bound from this term.
     * **compute bound** — a completed room of mean size ``m̄`` costs
       ``m̄ · modexp_per_party(m̄)`` modexp; with the run's measured
       seconds-per-modexp calibration ``measured_busy_s /

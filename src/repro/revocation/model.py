@@ -126,7 +126,8 @@ def simulate_churn(spec: ChurnSpec) -> Dict[str, object]:
 
     Pure integer arithmetic — no bignums, no RSA group — so a 1e6-member
     simulation is instant; the closed forms it multiplies out are the
-    ones the bench validates against real measured books at small scale.
+    ones ``tests/revocation/test_model.py`` checks against real measured
+    books at small scale.
     """
     k = spec.revocations_per_epoch
     j = spec.joins_per_epoch

@@ -21,7 +21,7 @@ from repro import accel, metrics
 from repro.accel import batch, fixed_base, state
 from repro.core import wire
 from repro.core.handshake import ScanJob, phase3_scan, run_handshake
-from repro.core.scheme1 import scheme1_policy
+from repro.core.scheme1 import create_scheme1, scheme1_policy
 from repro.core.transcript import HandshakeEntry, signed_message
 from repro.crypto import symmetric
 
@@ -229,61 +229,30 @@ class TestCounterParity:
         assert state.is_enabled()
 
 
-class TestVerifyRoom:
-    def test_room_scan_matches_per_member_verdicts(self, scheme1_world):
-        members = scheme1_world.lineup("alice", "bob", "carol")
-        rng = random.Random(990)
-        items = []
-        for i, member in enumerate(members):
-            message = f"sid:{i}".encode()
-            items.append((message, member.gsig_sign(message, rng)))
-        # Forge one blob: flip a byte so its signature fails to parse or
-        # verify — every honest scanner must reject it identically.
-        message, blob = items[1]
-        items[1] = (message, blob[:-1] + bytes([blob[-1] ^ 1]))
-
-        rec_seq = metrics.Recorder()
-        state.configure(enabled=False)
-        with metrics.using(rec_seq):
-            sequential = batch.verify_room(members, items)
-        rec_bat = metrics.Recorder()
-        state.configure(enabled=True)
-        try:
-            with metrics.using(rec_bat):
-                batched = batch.verify_room(members, items,
-                                            cache=batch.ScanCache())
-        finally:
-            state.configure(enabled=False)
-        assert batched == sequential
-        assert [row[1] for i, row in enumerate(sequential) if i != 1] == \
-               [False, False]
-        assert _books(rec_bat) == _books(rec_seq)
-        # m members x (m-1) checks, only m distinct (context, blob) pairs.
-        extras = rec_bat.total().extra
-        assert extras.get("accel:batch-scan-miss") == len(items)
-        assert extras.get("accel:batch-scan-hit") == \
-            len(members) * (len(members) - 1) - len(items)
-
-
 class TestHandshakeIntegration:
-    M = 4
+    @pytest.fixture(scope="class")
+    def eight_members(self):
+        rng = random.Random(61008)
+        framework = create_scheme1("accel-8", rng=rng)
+        return [framework.admit_member(f"user-{i}", rng) for i in range(8)]
 
-    def _run(self, world):
-        names = sorted(world.members)[:self.M]
-        members = world.lineup(*names)
-        rngs = [random.Random(61000 + i) for i in range(self.M)]
+    def _run(self, members):
+        rngs = [random.Random(61000 + i) for i in range(len(members))]
         rec = metrics.Recorder()
         with metrics.using(rec):
             outcomes = run_handshake(members, scheme1_policy(), rngs=rngs)
         return outcomes, rec
 
-    def test_inline_batched_handshake_is_byte_identical(self, service_world):
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_inline_batched_handshake_is_byte_identical(self, eight_members,
+                                                        m):
+        members = eight_members[:m]
         state.configure(enabled=False)
-        plain_outcomes, plain_rec = self._run(service_world)
+        plain_outcomes, plain_rec = self._run(members)
         assert all(o.success for o in plain_outcomes)
         state.configure(enabled=True)
         try:
-            batched_outcomes, batched_rec = self._run(service_world)
+            batched_outcomes, batched_rec = self._run(members)
         finally:
             state.configure(enabled=False)
         assert [o.session_key for o in plain_outcomes] == \
@@ -293,7 +262,9 @@ class TestHandshakeIntegration:
         assert [o.confirmed_peers for o in plain_outcomes] == \
                [o.confirmed_peers for o in batched_outcomes]
         assert _books(plain_rec) == _books(batched_rec)
-        # The room really was deduplicated: every party past the first
-        # reused the shared decrypt+verify results.
+        # Every party decrypts and verifies each of its m-1 peers'
+        # publications: 2m(m-1) lookups of which 2m are distinct, so the
+        # other 2m(m-2) reuse the room's ScanCache.
         extras = batched_rec.total().extra
-        assert extras.get("accel:batch-scan-hit", 0) > 0
+        assert extras.get("accel:batch-scan-miss") == 2 * m
+        assert extras.get("accel:batch-scan-hit", 0) == 2 * m * (m - 2)

@@ -16,6 +16,7 @@ from repro import metrics
 from repro.cluster import ClusterConfig, ClusterRouter, merge_histogram_summaries
 from repro.cluster.placement import HashRing
 from repro.core.scheme1 import scheme1_policy
+from repro.load import HandshakeModel, run_timed_room
 from repro.service import (
     ClientConfig,
     RendezvousServer,
@@ -57,6 +58,33 @@ def _rooms_on_shard(router_config, shard_id, count, prefix="pick"):
     return names
 
 
+async def _drain_mid_fill(router, members, rooms, live):
+    """Hold each room of ``rooms`` (all on shard 0) mid-fill with its first
+    member joined, drain shard 0 — live (``drain_shard``) or by the
+    legacy shed (``monitor.drain``) — then send each room's second
+    member.  Returns the live drain's report (None for the shed) and
+    every outcome."""
+    policy = scheme1_policy()
+    firsts, cfgs = [], []
+    for i, room in enumerate(rooms):
+        cfg = ClientConfig(port=router.port, room=room, backoff_base=0.05,
+                           backoff_max=0.3, deadline=30.0)
+        joined = asyncio.Event()
+        firsts.append(asyncio.ensure_future(join_room(
+            members[0], cfg, policy, random.Random(1 + i), joined=joined)))
+        cfgs.append(cfg)
+        await joined.wait()             # room filling on shard 0
+    report = None
+    if live:
+        report = await router.drain_shard(0)
+    else:
+        router.monitor.drain(0)
+    seconds = [asyncio.ensure_future(join_room(
+        members[1], cfg, policy, random.Random(20 + i)))
+        for i, cfg in enumerate(cfgs)]
+    return report, await asyncio.gather(*firsts, *seconds)
+
+
 class TestClusterSmoke:
     def test_two_shard_room_and_aggregated_status(self, scheme1_world):
         members = _lineup(scheme1_world, 2)
@@ -85,8 +113,9 @@ class TestClusterSmoke:
         assert relay is not None and relay["count"] > 0
 
     def test_rooms_spread_and_books_merge_across_shards(self, scheme1_world):
-        """Rooms hashed to different shards run concurrently; the
-        aggregated STATUS sums both shards' room counts and counters."""
+        """Rooms hashed to different shards run concurrently; every room's
+        per-party books equal the capacity model's, and the aggregated
+        STATUS sums both shards' room counts and counters."""
         members = _lineup(scheme1_world, 2)
         config = ClusterConfig(shards=2, heartbeat_interval=0.1)
         on_zero = _rooms_on_shard(config, 0, 2, prefix="spread")
@@ -95,9 +124,10 @@ class TestClusterSmoke:
         async def scenario():
             async with ClusterRouter(config) as router:
                 jobs = [
-                    run_room(members,
-                             ClientConfig(port=router.port, room=name),
-                             scheme1_policy())
+                    run_timed_room(members,
+                                   ClientConfig(port=router.port, room=name),
+                                   scheme1_policy(),
+                                   model=HandshakeModel("1"))
                     for name in on_zero + on_one
                 ]
                 results = await asyncio.gather(*jobs)
@@ -106,7 +136,8 @@ class TestClusterSmoke:
                 return results, status
 
         results, status = _run(scenario())
-        assert all(o.success for room in results for o in room)
+        assert [r.outcome for r in results] == ["completed"] * 4
+        assert [r.mismatches for r in results] == [[]] * 4
         assert status["outcomes"].get("completed") == 4
         assert status["counters"].get("svc:rooms-completed") == 4
         # Both shards really hosted rooms (placement spread the keys).
@@ -255,29 +286,19 @@ class TestFailover:
         assert status["cluster"]["states"].get("up") == [1]
 
     def test_drain_shard_migrates_unfilled_room_live(self, scheme1_world):
-        """Graceful drain is a live migration: the half-filled room moves
+        """Graceful drain is a live migration: each half-filled room moves
         to the survivor with its waiting member attached in place — the
         client sees one MIGRATED frame, never an abort, never a retry.
-        The second member's later HELLO is re-placed onto the survivor
+        Each second member's later HELLO is re-placed onto the survivor
         and lands in the *same* migrated room."""
         members = _lineup(scheme1_world, 2)
-        policy = scheme1_policy()
         config = ClusterConfig(shards=2, heartbeat_interval=0.1)
-        (room,) = _rooms_on_shard(config, 0, 1, prefix="drainee")
+        rooms = _rooms_on_shard(config, 0, 2, prefix="drainee")
 
         async def scenario():
             async with ClusterRouter(config) as router:
-                cfg = ClientConfig(port=router.port, room=room,
-                                   backoff_base=0.05, backoff_max=0.3)
-                joined = asyncio.Event()
-                first = asyncio.ensure_future(join_room(
-                    members[0], cfg, policy, random.Random(1),
-                    joined=joined))
-                await joined.wait()         # room filling on shard 0
-                report = await router.drain_shard(0)
-                second = asyncio.ensure_future(join_room(
-                    members[1], cfg, policy, random.Random(2)))
-                outcomes = await asyncio.gather(first, second)
+                report, outcomes = await _drain_mid_fill(
+                    router, members, rooms, live=True)
                 status = await query_status("127.0.0.1", router.port)
                 return outcomes, status, report
 
@@ -285,17 +306,46 @@ class TestFailover:
         with metrics.using(recorder):
             outcomes, status, report = _run(scenario())
         assert all(o.success for o in outcomes)
-        assert report == {"migrated": 1, "completed": 0, "failed": 0}
+        assert report == {"migrated": 2, "completed": 0, "failed": 0}
         extra = recorder.total().extra
-        # The waiting member was moved, not shed: one MIGRATED hop,
-        # zero client retries (the old shed path forced a rejoin).
-        assert extra.get("svc-client:migrations", 0) == 1
-        assert extra.get("svc-client:retries", 0) == 0
-        assert extra.get("svc-cluster:migrations", 0) == 1
-        # The second HELLO crossed shards: placement recorded an explicit
-        # re-placement away from the (draining) primary owner.
-        assert extra.get("svc-cluster:replacements", 0) >= 1
+        # The waiting members were moved, not shed: one MIGRATED hop
+        # each, zero client retries of any kind (the shed path below
+        # forces a rejoin per room).
+        assert extra.get("svc-client:migrations", 0) == 2
+        for counter in ("svc-client:retries", "svc-client:busy-retries",
+                        "svc-client:rejoin-retries",
+                        "svc-client:room-aborts"):
+            assert extra.get(counter, 0) == 0, counter
+        assert extra.get("svc-cluster:migrations", 0) == 2
+        # One restore-latency sample per moved room.
+        assert recorder.histograms()["svc-cluster:restore-latency"].total == 2
+        # The second HELLOs crossed shards: placement recorded explicit
+        # re-placements away from the (draining) primary owner.
+        assert extra.get("svc-cluster:replacements", 0) >= 2
         assert 0 not in status["cluster"]["states"].get("up", [])
+
+    def test_shed_drain_rejoins_every_waiting_member(self, scheme1_world):
+        """The legacy shed path (``monitor.drain``, what ``drain_shard``
+        falls back to when a migration step fails): the drained shard
+        aborts its filling rooms, and every waiting member rejoins
+        through the router, lands on the survivor and succeeds."""
+        members = _lineup(scheme1_world, 2)
+        config = ClusterConfig(shards=2, heartbeat_interval=0.1)
+        rooms = _rooms_on_shard(config, 0, 2, prefix="shed")
+
+        async def scenario():
+            async with ClusterRouter(config) as router:
+                _, outcomes = await _drain_mid_fill(
+                    router, members, rooms, live=False)
+                return outcomes
+
+        recorder = metrics.Recorder()
+        with metrics.using(recorder):
+            outcomes = _run(scenario())
+        assert all(o.success for o in outcomes)
+        extra = recorder.total().extra
+        assert extra.get("svc-client:rejoin-retries", 0) >= len(rooms)
+        assert extra.get("svc-client:migrations", 0) == 0
 
     def test_no_live_shards_is_retryable_not_a_hang(self, scheme1_world):
         members = _lineup(scheme1_world, 2)

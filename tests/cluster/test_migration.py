@@ -14,6 +14,10 @@ pinned here are the PR's acceptance criteria:
   the target's recorder from the checkpoint);
 * span lanes from the donor shard, the target shard and the clients
   share one trace id across the hop.
+
+A second scenario holds a member's router-to-donor dial open until the
+drain has begun: that member must still land in the moved room with no
+retry.
 """
 
 import asyncio
@@ -23,6 +27,7 @@ import pytest
 
 from repro import metrics
 from repro.cluster import ClusterConfig, ClusterRouter
+from repro.cluster.health import DRAINING
 from repro.cluster.placement import HashRing
 from repro.core.scheme1 import scheme1_policy
 from repro.obs import spans as obs
@@ -202,6 +207,65 @@ class TestMigrationIsInvisible:
         assert merged.get("svc:rooms-completed") == 1
         states = migration_world["status"]["cluster"]["states"]
         assert 0 not in states.get("up", [])
+
+
+class TestDialRacingADrain:
+    def test_member_dialled_before_the_drain_joins_the_moved_room(
+            self, scheme1_world, monkeypatch):
+        """The router picks the donor for a HELLO, and the donor is marked
+        draining while that dial is still open.  drain_shard has already
+        collected the donor's splices, so the router must place the HELLO
+        again (after the room's hop) instead of splicing it onto the
+        donor, where the final drain would abort it."""
+        members = scheme1_world.lineup("alice", "bob")
+        policy = scheme1_policy()
+        config = ClusterConfig(shards=2, heartbeat_interval=0.1)
+        room = _room_on_shard(config, 0, "racer")
+        real_open_connection = asyncio.open_connection
+
+        async def scenario():
+            async with ClusterRouter(config) as router:
+                donor = router.monitor.handles[0]
+                armed, dialling, release = (asyncio.Event(), asyncio.Event(),
+                                            asyncio.Event())
+
+                async def held_open_connection(host, port, *args, **kw):
+                    if armed.is_set() and port == donor.port \
+                            and not release.is_set():
+                        dialling.set()
+                        await release.wait()
+                    return await real_open_connection(host, port, *args, **kw)
+
+                monkeypatch.setattr(asyncio, "open_connection",
+                                    held_open_connection)
+                cfg = ClientConfig(port=router.port, room=room,
+                                   backoff_base=0.05, backoff_max=0.3,
+                                   deadline=30.0)
+                joined = asyncio.Event()
+                first = asyncio.ensure_future(join_room(
+                    members[0], cfg, policy, random.Random(1),
+                    joined=joined))
+                await joined.wait()          # room filling on the donor
+                armed.set()
+                second = asyncio.ensure_future(join_room(
+                    members[1], cfg, policy, random.Random(2)))
+                await dialling.wait()        # router is dialling the donor
+                drain = asyncio.ensure_future(router.drain_shard(0))
+                while donor.state != DRAINING:
+                    await asyncio.sleep(0)
+                release.set()
+                report = await drain
+                return await asyncio.gather(first, second), report
+
+        recorder = metrics.Recorder()
+        with metrics.using(recorder):
+            outcomes, report = _run(scenario())
+        assert all(o.success for o in outcomes)
+        assert report == {"migrated": 1, "completed": 0, "failed": 0}
+        extra = recorder.total().extra
+        assert extra.get("svc-client:rejoin-retries", 0) == 0
+        assert extra.get("svc-client:room-aborts", 0) == 0
+        assert extra.get("svc-client:retries", 0) == 0
 
 
 class TestTraceContinuity:

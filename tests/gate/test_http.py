@@ -11,8 +11,10 @@ import json
 import pytest
 
 from repro import metrics
+from repro.cluster import ClusterConfig, ClusterRouter
 from repro.core.scheme1 import scheme1_policy
 from repro.gate import GatewayConfig, HttpGateway
+from repro.load import generator
 from repro.service import RendezvousServer, ServerConfig
 
 TEST_CAP = 60.0
@@ -40,6 +42,38 @@ async def _request(port, method, path, body=None):
     status_line = header_blob.split(b"\r\n", 1)[0].decode()
     code = int(status_line.split(" ")[1])
     return code, body_blob
+
+
+async def _raw_post(port, content_length, body):
+    """POST /rooms with a ``Content-Length`` header given as is, then
+    half-close; returns (status_code, body_bytes) like ``_request``
+    (IndexError if no status line came back)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(f"POST /rooms HTTP/1.1\r\n"
+                 f"Content-Length: {content_length}\r\n\r\n".encode()
+                 + body)
+    await writer.drain()
+    writer.write_eof()
+    raw = await reader.read()
+    writer.close()
+    header_blob, _, body_blob = raw.partition(b"\r\n\r\n")
+    return int(header_blob.split(b"\r\n", 1)[0].split(b" ")[1]), body_blob
+
+
+def _prometheus_samples(text):
+    """Sample count of a Prometheus text exposition; every line must be a
+    comment or ``name{labels} value``."""
+    samples = 0
+    for line in text.strip().split("\n"):
+        if line.startswith("#"):
+            continue
+        name_part, _, value = line.rpartition(" ")
+        assert name_part, line
+        float(value)  # must parse
+        metric = name_part.split("{", 1)[0]
+        assert metric.replace("_", "").isalnum(), line
+        samples += 1
+    return samples
 
 
 class _World:
@@ -109,14 +143,22 @@ class TestRooms:
                     world.gateway.port, "GET", "/rooms/never-spawned")
                 results["no-route"] = await _request(
                     world.gateway.port, "GET", "/nope")
+                results["negative-length"] = await _raw_post(
+                    world.gateway.port, "-1", b"")
+                results["short-body"] = await _raw_post(
+                    world.gateway.port, "10", b"{}")
                 return results
 
-        results = _run(scenario())
+        with metrics.using(metrics.Recorder()) as recorder:
+            results = _run(scenario())
         assert results["bad-json"][0] == 400
         assert results["bad-m"][0] == 400
         assert results["get-verb"][0] == 405
         assert results["unknown"][0] == 404
         assert results["no-route"][0] == 404
+        assert results["negative-length"][0] == 400
+        assert results["short-body"][0] == 400
+        assert recorder.total().extra.get("gate:status:400") == 4
         # Every error body is structured JSON, not a stack trace.
         for code, body in results.values():
             assert "error" in json.loads(body)
@@ -147,15 +189,79 @@ class TestStatusAndMetrics:
         code, body = _run(scenario())
         assert code == 200
         text = body.decode()
-        samples = 0
-        for line in text.strip().split("\n"):
-            if line.startswith("#"):
-                continue
-            # Exposition format: `name{labels} value` or `name value`.
-            name_part, _, value = line.rpartition(" ")
-            assert name_part, line
-            float(value)  # must parse
-            samples += 1
-        assert samples >= 4
+        assert _prometheus_samples(text) >= 4
         assert 'repro_rooms{state="restoring"} 0' in text
         assert "repro_up 1" in text
+
+
+_RETRY_COUNTERS = ("svc-client:retries", "svc-client:busy-retries",
+                   "svc-client:rejoin-retries", "svc-client:room-aborts")
+
+
+class TestUnderLiveDrain:
+    def test_rooms_complete_across_a_live_drain(self, scheme1_world,
+                                                monkeypatch):
+        """Six rooms POSTed through the gateway to a 2-shard cluster, all
+        placed on shard 0, which is live-drained while they run: every
+        room completes with no client retry.  run_timed_room books each
+        room in its own recorder, so the retry check reads every room's
+        RoomResult.counters."""
+        members = scheme1_world.lineup("alice", "bob")
+        results = {}
+        real_run_timed_room = generator.run_timed_room
+
+        async def recorded_run_timed_room(room_members, cfg, *args, **kw):
+            result = await real_run_timed_room(room_members, cfg, *args, **kw)
+            results[cfg.room] = result
+            return result
+
+        monkeypatch.setattr(generator, "run_timed_room",
+                            recorded_run_timed_room)
+
+        async def scenario():
+            config = ClusterConfig(shards=2, heartbeat_interval=0.1)
+            async with ClusterRouter(config) as router:
+                names = [name for name in (f"drained-{i}" for i in range(64))
+                         if router.ring.place(name) == 0][:6]
+                gateway = await HttpGateway(
+                    GatewayConfig(target_port=router.port, deadline=60.0),
+                    members, scheme1_policy()).start()
+                try:
+                    for name in names:
+                        code, _ = await _request(
+                            gateway.port, "POST", "/rooms",
+                            json.dumps({"room": name, "m": 2}).encode())
+                        assert code == 202
+                    report = await router.drain_shard(0)
+                    states = {}
+                    while len(states) < len(names):
+                        await asyncio.sleep(0.05)
+                        for name in set(names) - set(states):
+                            code, body = await _request(
+                                gateway.port, "GET", f"/rooms/{name}")
+                            assert code == 200
+                            doc = json.loads(body)
+                            if doc["state"] != "running":
+                                states[name] = doc
+                    code, body = await _request(
+                        gateway.port, "GET", "/metrics")
+                finally:
+                    await gateway.shutdown()
+            return names, report, states, code, body.decode()
+
+        with metrics.using(metrics.Recorder()) as recorder:
+            names, report, states, code, exposition = _run(scenario())
+        assert len(names) == 6
+        assert report["failed"] == 0
+        assert {name: doc["state"] for name, doc in states.items()} == \
+            {name: "completed" for name in names}
+        assert all(doc["result"]["successes"] == 2
+                   for doc in states.values())
+        assert sorted(results) == sorted(names)
+        for name, result in results.items():
+            retries = {c: result.counters.get(c, 0) for c in _RETRY_COUNTERS}
+            assert not any(retries.values()), (name, retries)
+        assert code == 200 and _prometheus_samples(exposition) > 0
+        extra = recorder.total().extra
+        assert recorder.histograms()["gate:request-latency"].total == \
+            extra["gate:requests"]

@@ -135,6 +135,7 @@ class TestOpenLoop:
         assert results
         assert all(r.outcome in ("completed", "retryable")
                    for r in results)
+        assert all(r.mismatches == [] for r in results)
         extra = recorder.total().extra
         assert extra.get("svc:busy:at-capacity", 0) > 0
         assert extra.get("svc:busy-sheds", 0) >= \

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro import metrics
+from repro.core.framework import GcdFramework
 from repro.core.handshake import run_handshake
 from repro.core.scheme1 import scheme1_policy
 from repro.core.scheme2 import scheme2_policy
@@ -16,6 +17,7 @@ from repro.load.model import (
     backend,
     capacity_report,
 )
+from repro.revocation import RevocationService
 
 
 class TestClosedForms:
@@ -58,12 +60,28 @@ class TestClosedForms:
 class TestAgainstEngine:
     """The model's counts are the measured books, not an approximation."""
 
-    @pytest.mark.parametrize("scheme", ["1", "2"])
-    def test_engine_books_match_exactly(self, scheme, scheme1_world,
+    @pytest.mark.parametrize("room", ["1", "2", "churned"])
+    def test_engine_books_match_exactly(self, room, scheme1_world,
                                         scheme2_world):
-        world = scheme1_world if scheme == "1" else scheme2_world
-        policy = scheme1_policy() if scheme == "1" else scheme2_policy()
-        members = [world.members[n] for n in sorted(world.members)][:3]
+        if room == "churned":
+            # A scheme-1 room right after a sealed revocation epoch: the
+            # revocation machinery must not perturb the handshake books.
+            rng = random.Random(92)
+            framework = GcdFramework.create("churned", gsig_kind="acjt",
+                                            gsig_profile="tiny", rng=rng)
+            service = RevocationService(framework, register=False)
+            for i in range(5):
+                service.admit(f"g{i}", rng)
+            service.revoke("g3")
+            service.revoke("g4")
+            service.seal_epoch()
+            members = [framework.member(f"g{i}") for i in range(3)]
+            scheme, policy = "1", scheme1_policy()
+        else:
+            world = scheme1_world if room == "1" else scheme2_world
+            policy = scheme1_policy() if room == "1" else scheme2_policy()
+            members = [world.members[n] for n in sorted(world.members)][:3]
+            scheme = room
         model = HandshakeModel(scheme)
         recorder = metrics.Recorder()
         with metrics.using(recorder):

@@ -15,7 +15,7 @@ from repro.crypto.modmath import mexp
 
 class TestTaskIsolation:
     def test_two_rooms_one_loop_separate_recorders(self):
-        """The bench_service_throughput invariant, minimised: concurrent
+        """The TestConcurrentRooms invariant, minimised: concurrent
         rooms on one loop, each under its own recorder via ``using`` at
         task-spawn time, see only their own operations."""
         rec_a, rec_b = metrics.Recorder(), metrics.Recorder()

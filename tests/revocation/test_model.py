@@ -1,15 +1,19 @@
 """The witness-maintenance cost model: closed forms and churn simulation.
 
-These are the numbers BENCH_revocation.json validates against measured
-books at small scale; here they get unit coverage (edges, validation,
-and the scaling invariants the extrapolation relies on).
+The closed forms get unit coverage (edges, validation, and the scaling
+invariants the extrapolation relies on) and are checked exactly against
+the books of real sequential and batched revocations at small scale.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import metrics
 from repro.errors import ParameterError
+from repro.gsig.acjt import AcjtManager
 from repro.revocation.model import (
     ChurnSpec,
     lazy_refresh_modexps,
@@ -84,14 +88,15 @@ class TestSimulateChurn:
         assert doc["sequential"]["manager_modexps"] == epochs * k
 
     def test_strictly_better_with_real_churn(self):
-        doc = simulate_churn(ChurnSpec(
-            members=10_000, epochs=24, revocations_per_epoch=50,
-            joins_per_epoch=25, sleepers=100, horizon=64))
-        assert (doc["batched"]["total_modexps"]
-                < doc["sequential"]["total_modexps"])
-        assert doc["lazy_refresh"]["within_horizon"]
-        assert doc["lazy_refresh"]["per_sleeper_member_modexps"] == 3
-        assert doc["lazy_refresh"]["per_sleeper_manager_modexps"] == 0
+        for members in (10_000, 100_000, 1_000_000):
+            doc = simulate_churn(ChurnSpec(
+                members=members, epochs=24, revocations_per_epoch=50,
+                joins_per_epoch=25, sleepers=members // 100, horizon=64))
+            assert (doc["batched"]["total_modexps"]
+                    < doc["sequential"]["total_modexps"])
+            assert doc["lazy_refresh"]["within_horizon"]
+            assert doc["lazy_refresh"]["per_sleeper_member_modexps"] == 3
+            assert doc["lazy_refresh"]["per_sleeper_manager_modexps"] == 0
 
     def test_past_horizon_switches_to_reissue(self):
         doc = simulate_churn(ChurnSpec(
@@ -109,3 +114,39 @@ class TestSimulateChurn:
             members=100, epochs=4, revocations_per_epoch=2, sleepers=50))
         assert (sleepy["batched"]["member_modexps_total"]
                 < busy["batched"]["member_modexps_total"])
+
+
+class TestMeasuredBooks:
+    K = 6
+
+    @pytest.mark.parametrize("batched", [False, True],
+                             ids=["sequential", "batched"])
+    def test_books_equal_the_closed_forms(self, batched):
+        """K revocations at the group-signature layer, one by one or as one
+        batch: the manager's and a survivor's counted modexps equal
+        ``manager_modexps`` and ``member_update_modexps`` exactly, and the
+        survivor's witness still verifies."""
+        rng = random.Random(90)
+        manager = AcjtManager("tiny", rng)
+        survivor, _ = manager.join("survivor", rng)
+        doomed = [f"d{i}" for i in range(self.K)]
+        for uid in doomed:
+            _, update = manager.join(uid, rng)
+            survivor.apply_update(update)
+        assert survivor.witness_is_current()
+
+        with metrics.detached() as manager_books:
+            if batched:
+                updates = [manager.revoke_batch(doomed)]
+            else:
+                updates = [manager.revoke(uid) for uid in doomed]
+        with metrics.detached() as survivor_books:
+            for update in updates:
+                survivor.apply_update(update)
+
+        assert manager_books.total().modexp == \
+            manager_modexps(self.K, batched=batched)
+        assert survivor_books.total().modexp == \
+            member_update_modexps(0, self.K, coalesced=batched)
+        assert len(updates) == rekey_broadcasts(self.K, batched=batched)
+        assert survivor.witness_is_current()

@@ -18,6 +18,7 @@ from repro.service import (
     RendezvousServer,
     ServerConfig,
     join_room,
+    query_status,
     run_room,
 )
 
@@ -88,13 +89,26 @@ class TestLoopbackHandshake:
 
 class TestConcurrentRooms:
     def test_rooms_share_one_server_without_metric_bleed(self, scheme1_world):
-        """Several rooms run at once, each under its own Recorder; every
-        room sees exactly the protocol's per-party message profile."""
+        """Twenty rooms run at once, each under its own Recorder; every
+        room sees exactly the protocol's per-party message profile, and
+        STATUS keeps answering while they run."""
         members = _lineup(scheme1_world, 2)
-        n_rooms = 4
+        n_rooms = 20
+
+        async def poll_status(port, answers):
+            while True:
+                try:
+                    await query_status("127.0.0.1", port, timeout=10.0)
+                    answers.append(True)
+                except (ConnectionError, OSError, asyncio.TimeoutError):
+                    pass
+                await asyncio.sleep(0.02)
 
         async def scenario():
+            answers = []
             async with RendezvousServer(ServerConfig()) as server:
+                poller = asyncio.ensure_future(
+                    poll_status(server.port, answers))
                 recorders = [metrics.Recorder() for _ in range(n_rooms)]
                 jobs = []
                 for i, recorder in enumerate(recorders):
@@ -105,11 +119,22 @@ class TestConcurrentRooms:
                         jobs.append(asyncio.ensure_future(
                             run_room(members, cfg, scheme1_policy())))
                 results = await asyncio.gather(*jobs)
-            return results, recorders, server.room_outcomes()
+                polls_during_burst = len(answers)
+                poller.cancel()
+                # A client returns once its DONE is sent; wait until the
+                # server has closed every room before reading its books.
+                while len(server.room_outcomes()) < n_rooms:
+                    await asyncio.sleep(0.01)
+                status = await query_status("127.0.0.1", server.port)
+            return (results, recorders, server.room_outcomes(),
+                    polls_during_burst, status)
 
-        results, recorders, rooms = _run(scenario())
+        with metrics.using(metrics.Recorder()):
+            results, recorders, rooms, polls, status = _run(scenario())
         assert len(rooms) == n_rooms
         assert all(v == "completed" for v in rooms.values())
+        assert polls > 0
+        assert status["counters"]["svc:rooms-completed"] == n_rooms
         for outcomes, recorder in zip(results, recorders):
             assert all(o.success for o in outcomes)
             snap = recorder.snapshot()
