@@ -10,13 +10,13 @@ Subcommands:
   count) under full instrumentation and print the per-phase / per-party
   observability tables (the measured form of the paper's O(m) claims);
   ``--format json|csv|table`` selects the stdout rendering and
-  ``--percentiles`` adds latency/burst histogram summaries; optionally
-  export JSON/CSV artifacts or the trace-event stream; ``--from PATH``
-  renders the tables from a previously exported snapshot instead (one
-  line + nonzero exit on a missing/empty file).  Exits nonzero if
+  ``--percentiles`` adds latency histogram summaries; ``--from PATH``
+  renders the tables from a previously exported JSON snapshot instead
+  (one line + nonzero exit on a missing/empty file).  Exits nonzero if
   any same-group handshake in the sweep fails.
 * ``trace`` — run one fully traced handshake (engine, simulator, or a
-  loopback socket room) and render the span timeline as an ASCII Gantt;
+  loopback socket room) and render the span timeline as an ASCII Gantt
+  (each span carries the counter book of its work);
   ``--out`` writes a Chrome ``trace_event`` JSON loadable in Perfetto
   (https://ui.perfetto.dev) and ``--jsonl`` a span log; ``--cluster``
   runs the room against a self-hosted multi-process cluster and merges
@@ -28,9 +28,9 @@ Subcommands:
   multi-process cluster instead (a front-door router consistent-hashing
   rooms onto N shard workers, each a full server in its own process).
 * ``status`` — send the one-shot STATUS introspection query to a running
-  rendezvous server and print its live telemetry snapshot.
-* ``cluster-status`` — the same query against a cluster router, rendered
-  with the per-shard health table and the merged cross-shard telemetry.
+  rendezvous server or cluster router and print its live telemetry
+  snapshot; a router's reply adds the per-shard health table, and its
+  outcomes, counters and histograms are merged across shards.
 * ``top`` — live ASCII dashboard over a running relay/router: periodic
   STATUS samples folded into rooms/s, sheds/s per reason, retry rate and
   relay p50/p99 over time (``repro.obs.telemetry``); ``--prom DIR``
@@ -172,7 +172,7 @@ def _demo(args: argparse.Namespace) -> int:
 
 def _stats_from(args: argparse.Namespace) -> int:
     """Render the tables from a previously exported metrics JSON snapshot
-    (``repro stats --json PATH`` output) instead of re-running anything."""
+    (``repro stats --format json`` output) instead of re-running anything."""
     import json as _json
 
     try:
@@ -235,8 +235,6 @@ def _stats(args: argparse.Namespace) -> int:
     last_snapshot = None
     for m in args.parties:
         metrics.reset()
-        if args.trace:
-            metrics.enable_tracing()
         outcomes = run_handshake(members[:m], policy, rng)
         snap = metrics.snapshot()
         last_snapshot = snap
@@ -255,37 +253,17 @@ def _stats(args: argparse.Namespace) -> int:
         if args.percentiles:
             print()
             print(metrics.format_histograms(
-                title=f"m={m} latency/burst percentiles"))
-        if args.trace:
-            evs = metrics.events()
-            print(f"\ntrace: {len(evs)} events "
-                  f"(scope begin/end, send/recv, modexp bursts); first 10:")
-            for event in evs[:10]:
-                print(f"  {event.ts:9.4f}s  {event.kind:<12} "
-                      f"{event.scope:<12} {event.data}")
+                title=f"m={m} latency percentiles"))
 
     if table_out:
         print(f"\n{_accel_summary()}")
-
-    if last_snapshot is not None:
-        # Machine-readable stdout renderings of the final (largest-m)
-        # snapshot; ``--json``/``--csv`` below write files instead.
+    elif last_snapshot is not None:
+        # Machine-readable stdout rendering of the final (largest-m)
+        # snapshot.
         if args.format == "json":
-            print(metrics.export_json(last_snapshot,
-                                      include_events=args.trace,
-                                      include_histograms=True))
-        elif args.format == "csv":
+            print(metrics.export_json(last_snapshot))
+        else:
             print(metrics.export_csv(last_snapshot), end="")
-        if args.json:
-            metrics.write_json(args.json, snap=last_snapshot,
-                               include_events=args.trace)
-            if table_out:
-                print(f"\nwrote JSON export to {args.json}")
-        if args.csv:
-            with open(args.csv, "w") as handle:
-                handle.write(metrics.export_csv(last_snapshot))
-            if table_out:
-                print(f"wrote CSV export to {args.csv}")
     if not all_ok:
         print("\n!! at least one same-group handshake failed", file=sys.stderr)
         return 1
@@ -613,7 +591,7 @@ def _serve(args: argparse.Namespace) -> int:
         print(f"cluster router listening on {args.host}:{router.port} — "
               f"{args.shards} shard processes behind it "
               f"(rooms consistent-hashed by rendezvous name; "
-              f"query with `python -m repro cluster-status`)")
+              f"query with `python -m repro status`)")
         try:
             await router.serve_forever()
         except asyncio.CancelledError:
@@ -878,6 +856,8 @@ def _top(args: argparse.Namespace) -> int:
 
 
 def _status(args: argparse.Namespace) -> int:
+    """Print one STATUS reply from a rendezvous server or cluster router;
+    a router's reply adds the cluster header and per-shard lines."""
     import json as _json
 
     from repro.errors import TransportError
@@ -895,25 +875,54 @@ def _status(args: argparse.Namespace) -> int:
         print(_json.dumps(status, indent=2, sort_keys=True))
         return 0
     rooms = status.get("rooms", {})
-    queues = status.get("send_queues", {})
-    print(f"relay {args.host}:{args.port} — "
-          f"up {status.get('uptime_s', 0.0):.1f}s, "
-          f"accepting={status.get('accepting')}")
-    print(f"connections: {status.get('connections', 0)}  "
-          f"rooms: {rooms.get('filling', 0)} filling / "
-          f"{rooms.get('active', 0)} active / {rooms.get('closed', 0)} closed")
-    print(f"send queues: depth {queues.get('total_depth', 0)} total, "
-          f"{queues.get('max_depth', 0)} max; "
-          f"relay backlog {status.get('relay_backlog', 0)}")
+    room_counts = (f"{rooms.get('filling', 0)} filling / "
+                   f"{rooms.get('active', 0)} active / "
+                   f"{rooms.get('closed', 0)} closed")
+    cluster = status.get("cluster")
+    merged = ""
+    if cluster is None:
+        queues = status.get("send_queues", {})
+        print(f"relay {args.host}:{args.port} — "
+              f"up {status.get('uptime_s', 0.0):.1f}s, "
+              f"accepting={status.get('accepting')}")
+        print(f"connections: {status.get('connections', 0)}  "
+              f"rooms: {room_counts}")
+        print(f"send queues: depth {queues.get('total_depth', 0)} total, "
+              f"{queues.get('max_depth', 0)} max; "
+              f"relay backlog {status.get('relay_backlog', 0)}")
+    else:
+        merged = " (merged)"
+        states = ", ".join(f"{state}: {ids}" for state, ids
+                           in sorted(cluster.get("states", {}).items()))
+        print(f"cluster router {args.host}:{args.port} — "
+              f"up {cluster.get('router_uptime_s', 0.0):.1f}s, "
+              f"accepting={cluster.get('accepting')}, "
+              f"{cluster.get('shards', 0)} shards ({states})")
+        print(f"rooms (all shards): {room_counts}"
+              f"  open={status.get('open_rooms', 0)}"
+              f"  connections={status.get('connections', 0)}")
+        shards = status.get("shards", {})
+        if shards:
+            print("shards:")
+        for shard_id in sorted(shards, key=int):
+            line = shards[shard_id]
+            age = line.get("heartbeat_age_s")
+            shard_rooms = line.get("rooms") or {}
+            print(f"  #{shard_id:<3} {line.get('state', '?'):<9} "
+                  f"port={line.get('port') or '-':<6} "
+                  f"hb_age={age if age is not None else '-':<7} "
+                  f"rooms={shard_rooms.get('filling', 0)}f/"
+                  f"{shard_rooms.get('active', 0)}a/"
+                  f"{shard_rooms.get('closed', 0)}c")
     for section in ("outcomes", "counters"):
         entries = status.get(section, {})
         if entries:
-            print(f"{section}:")
+            print(f"{section}{merged}:")
             for name in sorted(entries):
-                print(f"  {name:<28} {entries[name]}")
+                print(f"  {name:<32} {entries[name]}")
     hists = status.get("histograms", {})
     if hists:
-        print("histograms:")
+        print(f"histograms{merged}:")
         for name in sorted(hists):
             s = hists[name]
             if not s["count"]:
@@ -928,73 +937,6 @@ def _status(args: argparse.Namespace) -> int:
         print(f"accel: enabled={accel_stats.get('enabled')}  "
               f"fixed-base hits/misses={fb.get('hits', 0)}/"
               f"{fb.get('misses', 0)} tables={fb.get('tables', 0)}")
-    return 0
-
-
-def _cluster_status(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from repro.errors import TransportError
-    from repro.service import query_status
-
-    try:
-        status = asyncio.run(query_status(args.host, args.port,
-                                          timeout=args.timeout))
-    except (TransportError, ConnectionError, OSError,
-            asyncio.TimeoutError) as exc:
-        print(f"!! could not query {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 1
-    if args.json:
-        print(_json.dumps(status, indent=2, sort_keys=True))
-        return 0
-    cluster = status.get("cluster")
-    if cluster is None:
-        print(f"!! {args.host}:{args.port} answered a plain server STATUS "
-              f"— not a cluster router (try `python -m repro status`)",
-              file=sys.stderr)
-        return 1
-    states = cluster.get("states", {})
-    print(f"cluster router {args.host}:{args.port} — "
-          f"up {cluster.get('router_uptime_s', 0.0):.1f}s, "
-          f"accepting={cluster.get('accepting')}, "
-          f"{cluster.get('shards', 0)} shards "
-          f"({', '.join(f'{s}: {ids}' for s, ids in sorted(states.items()))})")
-    rooms = status.get("rooms", {})
-    print(f"rooms (all shards): {rooms.get('filling', 0)} filling / "
-          f"{rooms.get('active', 0)} active / {rooms.get('closed', 0)} closed"
-          f"  open={status.get('open_rooms', 0)}"
-          f"  connections={status.get('connections', 0)}")
-    shards = status.get("shards", {})
-    if shards:
-        print("shards:")
-        for shard_id in sorted(shards, key=int):
-            line = shards[shard_id]
-            age = line.get("heartbeat_age_s")
-            shard_rooms = line.get("rooms") or {}
-            print(f"  #{shard_id:<3} {line.get('state', '?'):<9} "
-                  f"port={line.get('port') or '-':<6} "
-                  f"hb_age={age if age is not None else '-':<7} "
-                  f"rooms={shard_rooms.get('filling', 0)}f/"
-                  f"{shard_rooms.get('active', 0)}a/"
-                  f"{shard_rooms.get('closed', 0)}c")
-    for section in ("outcomes", "counters"):
-        entries = status.get(section, {})
-        if entries:
-            print(f"{section} (merged):")
-            for name in sorted(entries):
-                print(f"  {name:<32} {entries[name]}")
-    hists = status.get("histograms", {})
-    if hists:
-        print("histograms (merged):")
-        for name in sorted(hists):
-            s = hists[name]
-            if not s["count"]:
-                print(f"  {name:<24} count=0")
-                continue
-            print(f"  {name:<24} count={s['count']:<6} "
-                  f"p50={s['p50']:.6g} p90={s['p90']:.6g} "
-                  f"p99={s['p99']:.6g} max={s['max']:.6g}")
     return 0
 
 
@@ -1019,19 +961,13 @@ def main(argv=None) -> int:
                        help="instantiation: 1 = BD+LKH+ACJT, "
                             "2 = BD+NNL+KTY (default: 1)")
     stats.add_argument("--seed", type=int, default=2005)
-    stats.add_argument("--trace", action="store_true",
-                       help="record and summarize the trace-event stream")
     stats.add_argument("--percentiles", action="store_true",
-                       help="also print latency/burst histogram percentile "
+                       help="also print latency histogram percentile "
                             "tables (p50/p90/p99)")
     stats.add_argument("--format", choices=("table", "json", "csv"),
                        default="table",
                        help="stdout rendering: human tables (default), or "
                             "the final snapshot as JSON / CSV")
-    stats.add_argument("--json", metavar="PATH",
-                       help="write the final snapshot as JSON")
-    stats.add_argument("--csv", metavar="PATH",
-                       help="write the final snapshot as CSV")
     stats.add_argument("--from", dest="from_path", metavar="PATH",
                        help="render tables from a previously exported "
                             "metrics JSON snapshot instead of running "
@@ -1218,7 +1154,9 @@ def main(argv=None) -> int:
     _add_accel_flags(join)
 
     status = sub.add_parser(
-        "status", help="query a running rendezvous server's live telemetry")
+        "status", help="query a running rendezvous server's or cluster "
+                       "router's live telemetry (a router adds per-shard "
+                       "health and merged tallies)")
     status.add_argument("--host", default="127.0.0.1")
     status.add_argument("--port", type=int, default=7045)
     status.add_argument("--timeout", type=float, default=5.0)
@@ -1241,16 +1179,6 @@ def main(argv=None) -> int:
     top.add_argument("--prom", metavar="DIR",
                      help="also write one Prometheus text file per sample "
                           "into DIR")
-
-    cstatus = sub.add_parser(
-        "cluster-status",
-        help="query a running cluster router: per-shard health plus the "
-             "merged cross-shard telemetry")
-    cstatus.add_argument("--host", default="127.0.0.1")
-    cstatus.add_argument("--port", type=int, default=7045)
-    cstatus.add_argument("--timeout", type=float, default=5.0)
-    cstatus.add_argument("--json", action="store_true",
-                         help="print the raw JSON snapshot")
 
     args = parser.parse_args(argv)
     if args.command == "stats":
@@ -1288,8 +1216,6 @@ def main(argv=None) -> int:
         if args.interval <= 0:
             top.error("--interval must be positive")
         return _top(args)
-    if args.command == "cluster-status":
-        return _cluster_status(args)
     if args.command == "join":
         if args.m < 2:
             join.error("a handshake needs at least two parties (-m >= 2)")

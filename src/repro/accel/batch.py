@@ -76,7 +76,7 @@ class ScanCache:
         metrics.bump("accel:batch-scan-miss")
         with metrics.detached() as rec:
             result = fn()
-        counts = metrics.replayable_totals(rec)
+        counts = rec.total().counts()
         with self._lock:
             self._entries.setdefault(key, (result, counts))
         metrics.replay(counts)

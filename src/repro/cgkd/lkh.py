@@ -22,7 +22,7 @@ corruptions reveal nothing about earlier epochs.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cgkd.base import (
     GroupController,
@@ -40,12 +40,6 @@ from repro.errors import DecryptionError, MembershipError
 def renumber_after_grow(node_id: int) -> int:
     """Map an old node id to its id after one capacity doubling."""
     return node_id + (1 << (node_id.bit_length() - 1))
-
-
-def _path_to_root(node_id: int) -> Iterator[int]:
-    while node_id >= 1:
-        yield node_id
-        node_id //= 2
 
 
 def _is_ancestor_or_self(ancestor: int, leaf: int) -> bool:

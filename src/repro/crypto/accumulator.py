@@ -36,7 +36,7 @@ from repro.crypto.commitments import IntegerPedersenScheme
 from repro.crypto.modmath import egcd, int_in_symmetric_range, mexp, random_int_symmetric
 from repro.crypto.params import AcjtLengths
 from repro.crypto.rsa import RsaGroup
-from repro.errors import ParameterError, RevocationError, VerificationError
+from repro.errors import ParameterError, RevocationError
 
 
 @dataclass(frozen=True)
@@ -331,15 +331,3 @@ class AccumulatorMembershipProof:
             d1, d2, d3, d4, context,
         )
         return expected == c
-
-
-def require_valid_proof(
-    proof: AccumulatorMembershipProof,
-    public: AccumulatorPublic,
-    pedersen: IntegerPedersenScheme,
-    lengths: AcjtLengths,
-    context: bytes = b"",
-) -> None:
-    """Raise :class:`VerificationError` unless the proof verifies."""
-    if not proof.verify(public, pedersen, lengths, context):
-        raise VerificationError("accumulator membership proof rejected")

@@ -133,11 +133,6 @@ def int_to_key(value: int, label: str = "int-key", nbytes: int = 32) -> bytes:
     return kdf(raw, label, nbytes)
 
 
-def constant_time_equal(a: bytes, b: bytes) -> bool:
-    """Timing-safe comparison (wraps :func:`hmac.compare_digest`)."""
-    return _hmac.compare_digest(a, b)
-
-
 def fingerprint(*values) -> str:
     """Short hex fingerprint for logging/debugging (never for security)."""
     return digest("fingerprint", *values).hex()[:16]

@@ -67,12 +67,6 @@ def mexp(base: int, exponent: int, modulus: int) -> int:
     return uncounted_pow(base, exponent, modulus)
 
 
-def mmul(a: int, b: int, modulus: int) -> int:
-    """Counted modular multiplication."""
-    metrics.count_modmul()
-    return (a * b) % modulus
-
-
 def inverse(a: int, modulus: int) -> int:
     """Modular inverse of ``a`` mod ``modulus``; raises if not invertible.
 

@@ -61,7 +61,6 @@ from repro.errors import (
 from repro.gsig.base import (
     GroupMemberCredential,
     GroupSignatureManager,
-    GroupSignatureScheme,
     StateUpdate,
 )
 
@@ -668,20 +667,3 @@ def check_self_distinction(signatures: Sequence[KtySignature],
             return False
         tags.append(signature.t6)
     return len(set(tags)) == len(tags)
-
-
-class KtyScheme(GroupSignatureScheme):
-    """Factory conforming to :class:`GroupSignatureScheme`."""
-
-    name = "kty"
-
-    def __init__(self, profile: str = "tiny") -> None:
-        self._profile = profile
-
-    def setup(self, rng=None) -> KtyManager:
-        return KtyManager(self._profile, rng)
-
-    def verify(self, public_key: KtyPublicKey, message: bytes,
-               signature: KtySignature, member_state=None) -> bool:
-        view = member_state or KtyMemberView(frozenset(), 0)
-        return verify(public_key, message, signature, view)

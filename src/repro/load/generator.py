@@ -126,6 +126,7 @@ class RoomResult:
             "successes": self.successes,
             "retryable_failures": self.retryable_failures,
             "nonretryable_failures": self.nonretryable_failures,
+            "counters": dict(self.counters),
             "mismatches": list(self.mismatches),
             "trace_id": self.trace_id,
         }
@@ -153,7 +154,9 @@ async def run_timed_room(members: Sequence[object], config: ClientConfig,
     under a fresh recorder; the room's full books ride along in the
     result (and are validated against ``model`` when given).  Its
     ``svc-client:*`` retry counters therefore never reach the caller's
-    recorder: read them from :attr:`RoomResult.counters`.
+    recorder: read them from :attr:`RoomResult.counters`, which
+    :meth:`RoomResult.as_dict` (a gateway room document, a load report
+    row) also carries.
     """
     epoch = time.perf_counter() if epoch is None else epoch
     spawned_s = time.perf_counter() - epoch

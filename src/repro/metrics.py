@@ -1,4 +1,4 @@
-"""Observability layer: operation counters, timers, trace events, exporters.
+"""Observability layer: operation counters, timers, histograms, exporters.
 
 The paper's efficiency claims are stated in *number of modular
 exponentiations* and *number of messages* per participant (Sections 8.1 and
@@ -42,15 +42,15 @@ Beyond raw counts the layer records:
   charged once per distinct scope even when re-entered, and once per
   *union* interval when the same scope is open concurrently in several
   tasks or threads sharing one recorder);
-* **trace events** — an opt-in structured stream (scope begin/end, message
-  send/receive with byte sizes, coalesced modexp bursts); see
-  :func:`enable_tracing` / :func:`events`;
 * **histograms** — fixed-bucket distributions with percentile summaries
-  (handshake latency, relay frame latency, modexp burst sizes); see
-  :func:`observe` / :func:`histogram`;
-* **spans** — the :mod:`repro.obs` layer records start/end/duration spans
-  with parent/child links into the current recorder (storage lives here so
-  spans, counters and histograms share one measurement context);
+  (handshake latency, relay frame latency); see :func:`observe` /
+  :func:`histogram`;
+* **spans** — the one event model.  The :mod:`repro.obs` layer records
+  start/end/duration spans with parent/child links into the current
+  recorder (storage lives here so spans, counters and histograms share one
+  measurement context).  Recording is off by default; see
+  :func:`enable_tracing` / :func:`tracing`.  A context-manager span
+  carries the book of the work done inside it (:func:`book`);
 * **exporters** — :func:`export_json` / :func:`export_csv` /
   :func:`format_table` turn a snapshot into artifacts the benchmark
   harness and the ``python -m repro stats`` CLI consume; span exporters
@@ -84,7 +84,6 @@ class Counters:
     """Tallies for one scope."""
 
     modexp: int = 0
-    modmul: int = 0
     messages_sent: int = 0
     messages_received: int = 0
     bytes_sent: int = 0
@@ -101,7 +100,6 @@ class Counters:
     def copy(self) -> "Counters":
         clone = Counters(
             modexp=self.modexp,
-            modmul=self.modmul,
             messages_sent=self.messages_sent,
             messages_received=self.messages_received,
             bytes_sent=self.bytes_sent,
@@ -119,11 +117,18 @@ class Counters:
         out.update(self.extra)
         return out
 
+    def counts(self) -> Dict[str, int]:
+        """The non-zero counts as a flat dict :func:`replay` accepts:
+        fixed :data:`REPLAY_FIELDS`, then ``extra`` counters; wall time
+        excluded."""
+        out = {f: getattr(self, f) for f in REPLAY_FIELDS if getattr(self, f)}
+        out.update((k, v) for k, v in self.extra.items() if v)
+        return out
+
 
 #: Fixed counter fields, in export order.
 FIELDS: Tuple[str, ...] = (
     "modexp",
-    "modmul",
     "messages_sent",
     "messages_received",
     "bytes_sent",
@@ -143,45 +148,10 @@ _REPLAY_SET = frozenset(REPLAY_FIELDS)
 _TOTAL = "total"
 
 
-@dataclass
-class TraceEvent:
-    """One structured trace record.
-
-    ``ts``/``ts_end`` are seconds since the recorder's epoch (its creation
-    or last :func:`reset`).  ``scope`` is the innermost active scope at
-    emission time (``"total"`` outside any scope).  Burst kinds (e.g.
-    ``"modexp"``) coalesce consecutive same-scope events into one record
-    with an aggregated ``count`` and a widened ``[ts, ts_end]`` window.
-    """
-
-    kind: str
-    scope: str
-    ts: float
-    ts_end: float
-    data: Dict[str, object] = field(default_factory=dict)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "scope": self.scope,
-            "ts": self.ts,
-            "ts_end": self.ts_end,
-            **self.data,
-        }
-
-
-#: Event kinds that coalesce into bursts instead of one record per call.
-_BURST_KINDS = frozenset({"modexp", "modmul", "hash"})
-
 #: Default bucket upper bounds for latency histograms (seconds).
 LATENCY_BOUNDS: Tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
-)
-
-#: Default bucket upper bounds for burst/size histograms (counts).
-SIZE_BOUNDS: Tuple[float, ...] = (
-    1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000,
 )
 
 
@@ -282,18 +252,19 @@ class Histogram:
 
 
 class _Frame:
-    """One scope activation: the name plus the counters it charges."""
+    """One scope or span-book activation: the name plus the counters it
+    charges."""
 
-    __slots__ = ("name", "counters", "t0")
+    __slots__ = ("name", "counters")
 
-    def __init__(self, name: str, counters: Counters, t0: float) -> None:
+    def __init__(self, name: str, counters: Counters) -> None:
         self.name = name
         self.counters = counters
-        self.t0 = t0
 
 
 class Recorder:
-    """Counter + trace storage for one logical measurement context.
+    """Counter, histogram and span storage for one logical measurement
+    context.
 
     Normally one recorder exists per thread (created lazily); benchmarks
     never see it directly — the module-level functions proxy to the
@@ -304,7 +275,6 @@ class Recorder:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._counters: Dict[str, Counters] = {_TOTAL: Counters()}
-        self._events: List[TraceEvent] = []
         self._hists: Dict[str, Histogram] = {}
         self._spans: List[object] = []
         self._next_span_id = 1
@@ -319,7 +289,6 @@ class Recorder:
     def reset(self) -> None:
         with self._lock:
             self._counters = {_TOTAL: Counters()}
-            self._events = []
             self._hists = {}
             self._spans = []
             self._next_span_id = 1
@@ -425,38 +394,6 @@ class Recorder:
     def tracing(self, on: bool) -> None:
         self._tracing = bool(on)
 
-    def trace(self, kind: str, scope: str, **data: object) -> None:
-        if not self._tracing:
-            return
-        with self._lock:
-            now = time.perf_counter() - self._epoch
-            if kind in _BURST_KINDS and self._events:
-                last = self._events[-1]
-                if last.kind == kind and last.scope == scope:
-                    last.data["count"] = (
-                        int(last.data.get("count", 0)) + int(data.get("count", 1))
-                    )
-                    last.ts_end = now
-                    return
-            # A non-coalescing event closes any burst in flight: its final
-            # size feeds the burst-size histogram (the tail burst of a run
-            # is closed by the enclosing scope-end event).
-            if self._events:
-                last = self._events[-1]
-                if last.kind in _BURST_KINDS and (last.kind != kind
-                                                  or last.scope != scope):
-                    self.histogram(f"{last.kind}:burst", SIZE_BOUNDS).observe(
-                        int(last.data.get("count", 1)))
-            if kind in _BURST_KINDS:
-                data.setdefault("count", 1)
-            self._events.append(
-                TraceEvent(kind=kind, scope=scope, ts=now, ts_end=now, data=data)
-            )
-
-    def events(self) -> List[TraceEvent]:
-        with self._lock:
-            return list(self._events)
-
 
 # ---------------------------------------------------------------------------
 # Recorder + stack resolution.
@@ -528,9 +465,9 @@ def detached(recorder: Optional[Recorder] = None) -> Iterator[Recorder]:
 
 
 def reset() -> None:
-    """Drop all counters, scopes and events (benchmarks call this between
-    runs).  Scopes still open keep charging their (now detached) counter
-    objects, which simply no longer appear in :func:`snapshot`."""
+    """Drop all counters, histograms and spans (benchmarks call this
+    between runs).  Scopes still open keep charging their (now detached)
+    counter objects, which simply no longer appear in :func:`snapshot`."""
     current_recorder().reset()
 
 
@@ -554,15 +491,13 @@ def scope(name: str) -> Iterator[Counters]:
     """
     rec = current_recorder()
     counters = rec.counters_for(name)
-    frame = _Frame(name, counters, time.perf_counter())
-    token = _STACK.set(_STACK.get() + (frame,))
+    token = _STACK.set(_STACK.get() + (_Frame(name, counters),))
     with rec._lock:
         entry = rec._open.get(id(counters))
         if entry is None:
-            rec._open[id(counters)] = [1, frame.t0]
+            rec._open[id(counters)] = [1, time.perf_counter()]
         else:
             entry[0] += 1
-    rec.trace("scope-begin", name)
     try:
         yield counters
     finally:
@@ -577,18 +512,28 @@ def scope(name: str) -> Iterator[Counters]:
                 if entry[0] <= 0:
                     counters.wall_time += now - entry[1]
                     del rec._open[id(counters)]
-        rec.trace("scope-end", name, elapsed=now - frame.t0)
 
 
 @contextlib.contextmanager
-def timer(name: str) -> Iterator[Counters]:
-    """Alias of :func:`scope` for call sites that only want the clock."""
-    with scope(name) as counters:
+def book(name: str) -> Iterator[Counters]:
+    """Charge the block's operations to a private :class:`Counters` as
+    well — the counter book a :func:`repro.obs.span` carries.
+
+    The book is pushed onto the scope stack like a scope, so every count
+    hook and :func:`replay` charge it with no code of their own.  It is
+    not registered with the recorder: it never appears in
+    :func:`snapshot`, and it keeps no wall time."""
+    counters = Counters()
+    token = _STACK.set(_STACK.get() + (_Frame(name, counters),))
+    try:
         yield counters
+    finally:
+        _STACK.reset(token)
 
 
 def active_scopes() -> List[str]:
-    """Names currently on the scope stack, outermost first (diagnostics)."""
+    """Names currently on the scope stack, outermost first, span books
+    included (diagnostics)."""
     return [frame.name for frame in _STACK.get()]
 
 
@@ -608,11 +553,6 @@ def _charged() -> List[Counters]:
     return targets
 
 
-def _innermost() -> str:
-    stack = _STACK.get()
-    return stack[-1].name if stack else _TOTAL
-
-
 # ---------------------------------------------------------------------------
 # Counting hooks.
 # ---------------------------------------------------------------------------
@@ -623,15 +563,6 @@ def count_modexp(amount: int = 1) -> None:
     with rec._lock:
         for c in _charged():
             c.modexp += amount
-    rec.trace("modexp", _innermost(), count=amount)
-
-
-def count_modmul(amount: int = 1) -> None:
-    rec = current_recorder()
-    with rec._lock:
-        for c in _charged():
-            c.modmul += amount
-    rec.trace("modmul", _innermost(), count=amount)
 
 
 def count_hash(amount: int = 1) -> None:
@@ -639,7 +570,6 @@ def count_hash(amount: int = 1) -> None:
     with rec._lock:
         for c in _charged():
             c.hashes += amount
-    rec.trace("hash", _innermost(), count=amount)
 
 
 def count_pairing(amount: int = 1) -> None:
@@ -655,7 +585,6 @@ def count_message_sent(nbytes: int = 0) -> None:
         for c in _charged():
             c.messages_sent += 1
             c.bytes_sent += nbytes
-    rec.trace("send", _innermost(), nbytes=nbytes)
 
 
 def count_message_received(nbytes: int = 0) -> None:
@@ -664,7 +593,6 @@ def count_message_received(nbytes: int = 0) -> None:
         for c in _charged():
             c.messages_received += 1
             c.bytes_received += nbytes
-    rec.trace("recv", _innermost(), nbytes=nbytes)
 
 
 def bump(name: str, amount: int = 1) -> None:
@@ -672,23 +600,6 @@ def bump(name: str, amount: int = 1) -> None:
     with rec._lock:
         for c in _charged():
             c.bump(name, amount)
-
-
-def replayable_totals(recorder: Recorder) -> Dict[str, int]:
-    """The non-zero totals of ``recorder`` as a flat dict :func:`replay`
-    accepts: fixed :data:`REPLAY_FIELDS` plus ``extra`` counters, wall
-    time excluded.  The record-elsewhere half of the batch-scan memo's
-    record-elsewhere/replay-here protocol."""
-    totals = recorder.total()
-    counts: Dict[str, int] = {}
-    for name in REPLAY_FIELDS:
-        value = getattr(totals, name)
-        if value:
-            counts[name] = value
-    for name, value in totals.extra.items():
-        if value:
-            counts[name] = counts.get(name, 0) + value
-    return counts
 
 
 def replay(counts: Dict[str, int]) -> None:
@@ -715,9 +626,6 @@ def replay(counts: Dict[str, int]) -> None:
                 setattr(c, name, getattr(c, name) + amount)
             for name, amount in extras:
                 c.bump(name, amount)
-    modexp_total = counts.get("modexp", 0)
-    if modexp_total:
-        rec.trace("modexp", _innermost(), count=modexp_total)
 
 
 # ---------------------------------------------------------------------------
@@ -783,14 +691,14 @@ def spans() -> List[object]:
 
 
 def enable_tracing(on: bool = True) -> None:
-    """Switch the structured trace-event stream on (off by default —
-    counting stays cheap unless someone asks for the event log)."""
+    """Switch span recording on (off by default — counting stays cheap
+    unless someone asks for spans)."""
     current_recorder().tracing = on
 
 
 @contextlib.contextmanager
 def tracing() -> Iterator[None]:
-    """Enable trace events for the extent of the block."""
+    """Record spans for the extent of the block."""
     rec = current_recorder()
     before = rec.tracing
     rec.tracing = True
@@ -800,24 +708,17 @@ def tracing() -> Iterator[None]:
         rec.tracing = before
 
 
-def events() -> List[TraceEvent]:
-    """The trace-event stream since the last :func:`reset` (copies)."""
-    return current_recorder().events()
-
-
 # ---------------------------------------------------------------------------
 # Exporters.
 # ---------------------------------------------------------------------------
 
 
 def export_json(snap: Optional[Dict[str, Counters]] = None, *,
-                include_events: bool = False,
                 include_histograms: bool = True, indent: int = 2) -> str:
     """Serialize a snapshot (default: the live one) as JSON.
 
-    Layout: ``{"scopes": {...}, "histograms": {...}, "events": [...]}``;
-    events only when requested (they can be large), histograms whenever
-    any exist."""
+    Layout: ``{"scopes": {...}, "histograms": {...}}``; histograms
+    whenever any exist."""
     snap = snapshot() if snap is None else snap
     doc: Dict[str, object] = {
         "scopes": {name: c.as_dict() for name, c in sorted(snap.items())}
@@ -828,8 +729,6 @@ def export_json(snap: Optional[Dict[str, Counters]] = None, *,
             doc["histograms"] = {
                 name: hists[name].summary() for name in sorted(hists)
             }
-    if include_events:
-        doc["events"] = [e.as_dict() for e in events()]
     return json.dumps(doc, indent=indent, sort_keys=False)
 
 
@@ -875,11 +774,6 @@ def export_csv(snap: Optional[Dict[str, Counters]] = None) -> str:
 def write_json(path: str, **kwargs) -> None:
     with open(path, "w") as handle:
         handle.write(export_json(**kwargs) + "\n")
-
-
-def write_csv(path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(export_csv())
 
 
 def format_table(snap: Optional[Dict[str, Counters]] = None,

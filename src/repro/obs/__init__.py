@@ -1,11 +1,13 @@
 """``repro.obs`` — span tracing, exporters, and structured logging.
 
 The observability subsystem layered on :mod:`repro.metrics` (which owns
-storage: counters, histograms, trace events, and finished spans all live
-in the current :class:`~repro.metrics.Recorder`):
+storage: counters, histograms and finished spans all live in the current
+:class:`~repro.metrics.Recorder`):
 
 * :func:`span` / :func:`start_span` — nested timed regions, safe across
-  threads and asyncio tasks (:mod:`repro.obs.spans`);
+  threads and asyncio tasks (:mod:`repro.obs.spans`).  Spans are the one
+  event model: a :func:`span` block also carries the counter book of the
+  work done inside it (modexp, messages, bytes, hashes, …);
 * :func:`chrome_trace` / :func:`spans_jsonl` / :func:`render_gantt` —
   Perfetto-loadable traces, JSONL span logs, and the ASCII timeline the
   ``python -m repro trace`` CLI renders (:mod:`repro.obs.export`);
@@ -20,9 +22,10 @@ in the current :class:`~repro.metrics.Recorder`):
 
 Recording is gated by the metrics tracing switch: wrap work in
 ``with metrics.tracing():`` (or call ``metrics.enable_tracing()``) and
-every span started under that recorder is kept; otherwise span calls are
-no-ops.  See docs/OBSERVABILITY.md for naming conventions and the
-"no identity on the wire, no identity in exported artifacts" rule.
+every span started under that recorder is kept, with its book; otherwise
+span calls are no-ops and no book is kept.  See docs/OBSERVABILITY.md for
+naming conventions and the "no identity on the wire, no identity in
+exported artifacts" rule.
 """
 
 from repro.obs.export import (

@@ -6,6 +6,9 @@ in Perfetto (https://ui.perfetto.dev, "Open trace file") or
 lanes (Perfetto "threads") group spans per participant: a span carrying a
 ``party`` attribute lands in lane ``hs:<party>``, room-lifecycle spans in
 lane ``room:<token>``, everything else in its recording thread's lane.
+A span's attributes, its counter book included (``modexp``,
+``messages_sent``, …), become the event's ``args`` and, in JSONL, its
+``attr.*`` fields.
 
 The exporters only see what instrumentation put into span names/attrs —
 the anonymity rule (room tokens and roster indices only, never member
@@ -18,7 +21,6 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence
 
-from repro import metrics
 from repro.obs.spans import Span, finished_spans
 
 _PID = 1
@@ -41,11 +43,9 @@ def _lane(span: Span,
     return span.tid
 
 
-def chrome_trace(spans: Optional[Sequence[Span]] = None, *,
-                 include_events: bool = True) -> Dict[str, object]:
+def chrome_trace(spans: Optional[Sequence[Span]] = None) -> Dict[str, object]:
     """Build a ``trace_event`` document from finished spans (default: the
-    current recorder's) plus, optionally, the coalesced metrics event
-    stream (sends/receives and modexp bursts as zero-config extras)."""
+    current recorder's)."""
     spans = finished_spans() if spans is None else list(spans)
     by_id = {s.span_id: s for s in spans}
     lanes: Dict[str, int] = {}
@@ -69,20 +69,6 @@ def chrome_trace(spans: Optional[Sequence[Span]] = None, *,
             "tid": tid_for(_lane(span, by_id)),
             "args": {str(k): _arg(v) for k, v in sorted(span.attrs.items())},
         })
-    if include_events:
-        for event in metrics.events():
-            if event.kind in ("scope-begin", "scope-end"):
-                continue   # scopes are already represented by spans
-            trace_events.append({
-                "ph": "X",
-                "name": event.kind,
-                "cat": "metrics",
-                "ts": round(event.ts * 1e6, 3),
-                "dur": round(max(0.0, event.ts_end - event.ts) * 1e6, 3),
-                "pid": _PID,
-                "tid": tid_for(event.scope),
-                "args": {str(k): _arg(v) for k, v in sorted(event.data.items())},
-            })
     metadata = [{
         "ph": "M", "name": "process_name", "pid": _PID, "tid": 0,
         "args": {"name": "repro"},
@@ -105,11 +91,10 @@ def _arg(value: object) -> object:
 
 
 def export_chrome_trace(path: str,
-                        spans: Optional[Sequence[Span]] = None, *,
-                        include_events: bool = True) -> None:
+                        spans: Optional[Sequence[Span]] = None) -> None:
     with open(path, "w") as handle:
-        json.dump(chrome_trace(spans, include_events=include_events),
-                  handle, indent=None, separators=(",", ":"))
+        json.dump(chrome_trace(spans), handle, indent=None,
+                  separators=(",", ":"))
         handle.write("\n")
 
 

@@ -12,9 +12,17 @@ explicit parents instead.
 
 Storage and the on/off switch live in :mod:`repro.metrics`: finished
 spans land in the current :class:`~repro.metrics.Recorder` and recording
-is gated by the same flag as trace events (:func:`metrics.enable_tracing`
-/ :func:`metrics.tracing`), so "tracing off" really is zero-allocation —
+is gated by its tracing flag (:func:`metrics.enable_tracing` /
+:func:`metrics.tracing`), so "tracing off" really is zero-allocation —
 the hot path does one attribute read and yields.
+
+Span books: a :func:`span` block carries the book of the work done
+inside it.  While the span is open its own :class:`~repro.metrics.Counters`
+sits on the metrics scope stack (:func:`metrics.book`), so every count
+hook charges it along with the enclosing scopes; :meth:`Span.end` stores
+the book's non-zero counts (``modexp``, ``messages_sent``, ``hashes``,
+``inversions``, …; never wall time) as span attributes, which every
+exporter carries.  Manual spans (:func:`start_span`) carry no book.
 
 Trace context: every finished span carries a ``trace_id`` — a random
 16-hex-digit identifier grouping all spans of one logical operation (one
@@ -76,7 +84,7 @@ class Span:
     spans are recorded/exported)."""
 
     __slots__ = ("name", "span_id", "parent_id", "trace_id", "ts", "dur",
-                 "attrs", "tid", "_recorder", "_t0")
+                 "attrs", "tid", "_book", "_recorder", "_t0")
 
     def __init__(self, name: str, span_id: int, parent_id: Optional[int],
                  recorder, attrs: Dict[str, object],
@@ -87,6 +95,9 @@ class Span:
         self.trace_id = trace_id if trace_id is not None else mint_trace_id()
         self.attrs = attrs
         self.tid = threading.current_thread().name
+        #: The work done inside a :func:`span` block; ``None`` for a
+        #: manual span.
+        self._book: Optional[metrics.Counters] = None
         self._recorder = recorder
         self._t0 = time.perf_counter()
         self.ts = self._t0 - recorder.epoch
@@ -94,9 +105,12 @@ class Span:
 
     def end(self, **attrs: object) -> "Span":
         """Close the span (idempotent) and record it into the recorder it
-        was started under — safe even if another task finishes it."""
+        was started under — safe even if another task finishes it.  The
+        book's non-zero counts become attributes."""
         if self.dur is None:
             self.dur = time.perf_counter() - self._t0
+            if self._book is not None:
+                self.attrs.update(self._book.counts())
             if attrs:
                 self.attrs.update(attrs)
             self._recorder.record_span(self)
@@ -181,7 +195,8 @@ def start_span(name: str, parent=_UNSET, trace: Optional[str] = None,
 @contextlib.contextmanager
 def span(name: str, trace: Optional[str] = None,
          **attrs: object) -> Iterator[object]:
-    """Record the block as a span, parented to the enclosing one.
+    """Record the block as a span, parented to the enclosing one, with
+    the book of the work done inside it.
 
     Token-based ContextVar handling restores the previous parent exactly,
     under exceptions and re-entrancy, per thread and per asyncio task.
@@ -197,7 +212,8 @@ def span(name: str, trace: Optional[str] = None,
                 trace_id=_trace_for(parent, trace))
     token = _CURRENT.set(live)
     try:
-        yield live
+        with metrics.book(name) as live._book:
+            yield live
     finally:
         _CURRENT.reset(token)
         live.end()

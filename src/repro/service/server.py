@@ -69,17 +69,7 @@ def _scope_counts(scope_name: str) -> Dict[str, int]:
     ships so the cluster-aggregate books survive the donor shard's death
     (:func:`repro.metrics.replay` on the restoring side)."""
     counters = metrics.current_recorder().snapshot().get(scope_name)
-    if counters is None:
-        return {}
-    counts: Dict[str, int] = {}
-    for name in metrics.REPLAY_FIELDS:
-        value = getattr(counters, name, 0)
-        if value:
-            counts[name] = value
-    for name, value in counters.extra.items():
-        if value:
-            counts[name] = counts.get(name, 0) + value
-    return counts
+    return counters.counts() if counters is not None else {}
 
 
 @dataclass

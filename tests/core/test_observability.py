@@ -1,4 +1,4 @@
-"""Tests for the observability layer: timers, trace events, exporters,
+"""Tests for the observability layer: timers, span books, exporters,
 thread isolation, and per-party cost parity between the synchronous
 handshake engine and the network runner (both feed the paper's O(m)
 accounting, so they must agree)."""
@@ -15,6 +15,7 @@ from repro.core.handshake import run_handshake
 from repro.core.scheme1 import scheme1_policy
 from repro.crypto.modmath import mexp
 from repro.net.runner import run_handshake_over_network
+from repro.obs import spans as obs
 
 
 class TestTimers:
@@ -35,63 +36,86 @@ class TestTimers:
         # push it past ~0.15s.
         assert 0.09 <= wall <= 0.14
 
-    def test_timer_alias(self):
-        metrics.reset()
-        with metrics.timer("clocked"):
-            time.sleep(0.005)
-        assert metrics.snapshot()["clocked"].wall_time > 0
 
 
-class TestTraceEvents:
-    def test_disabled_by_default(self):
-        metrics.reset()
-        with metrics.scope("quiet"):
-            mexp(2, 10, 101)
-        assert metrics.events() == []
+class TestSpanBooks:
+    """A context-manager span books the work done inside it; manual spans
+    and untraced recorders book nothing."""
 
-    def test_scope_begin_end_pairing(self):
-        metrics.reset()
-        with metrics.tracing():
-            with metrics.scope("outer"):
-                with metrics.scope("inner"):
-                    pass
-        kinds = [(e.kind, e.scope) for e in metrics.events()]
-        assert kinds == [
-            ("scope-begin", "outer"),
-            ("scope-begin", "inner"),
-            ("scope-end", "inner"),
-            ("scope-end", "outer"),
-        ]
+    def _traced(self):
+        rec = metrics.Recorder()
+        rec.tracing = True
+        return rec
 
-    def test_modexp_bursts_coalesce(self):
-        metrics.reset()
-        with metrics.tracing():
-            with metrics.scope("burst"):
+    def test_span_books_its_modexps(self):
+        rec = self._traced()
+        with metrics.using(rec):
+            with metrics.scope("work"), obs.span("burst"):
                 for _ in range(5):
                     mexp(2, 10, 101)
-        bursts = [e for e in metrics.events() if e.kind == "modexp"]
-        assert len(bursts) == 1
-        assert bursts[0].data["count"] == 5
-        assert bursts[0].scope == "burst"
-        assert bursts[0].ts_end >= bursts[0].ts
+        (span,) = rec.spans()
+        assert span.attrs == {"modexp": 5}
+        # The book is extra: the scope and the total still book the work.
+        assert rec.snapshot()["work"].modexp == 5
+        assert rec.total().modexp == 5
 
-    def test_message_events_carry_sizes(self):
-        metrics.reset()
-        with metrics.tracing():
-            metrics.count_message_sent(17)
-            metrics.count_message_received(17)
-        kinds = {e.kind: e for e in metrics.events()}
-        assert kinds["send"].data["nbytes"] == 17
-        assert kinds["recv"].data["nbytes"] == 17
+    def test_span_books_messages_and_bytes(self):
+        rec = self._traced()
+        with metrics.using(rec):
+            with obs.span("wire"):
+                metrics.count_message_sent(17)
+                metrics.count_message_received(17)
+        (span,) = rec.spans()
+        assert span.attrs == {"messages_sent": 1, "bytes_sent": 17,
+                              "messages_received": 1, "bytes_received": 17}
 
-    def test_reset_clears_events(self):
-        metrics.reset()
-        metrics.enable_tracing()
-        with metrics.scope("x"):
-            pass
-        metrics.reset()
-        assert metrics.events() == []
-        metrics.enable_tracing(False)
+    def test_nested_spans_each_book_their_work(self):
+        rec = self._traced()
+        with metrics.using(rec):
+            with obs.span("outer"):
+                mexp(2, 10, 101)
+                with obs.span("inner"):
+                    mexp(2, 10, 101)
+                    metrics.bump("inversions")
+        books = {s.name: s.attrs for s in rec.spans()}
+        assert books == {"inner": {"modexp": 1, "inversions": 1},
+                         "outer": {"modexp": 2, "inversions": 1}}
+
+    def test_replayed_counts_reach_the_span_book(self):
+        rec = self._traced()
+        with metrics.using(rec):
+            with obs.span("cached"):
+                metrics.replay({"modexp": 3, "hashes": 2, "wall_time": 9.0})
+        (span,) = rec.spans()
+        assert span.attrs == {"modexp": 3, "hashes": 2}
+
+    def test_manual_spans_carry_no_book(self):
+        rec = self._traced()
+        with metrics.using(rec):
+            manual = obs.start_span("manual", parent=None, party=0)
+            mexp(2, 10, 101)
+            manual.end(success=True)
+        assert manual.attrs == {"party": 0, "success": True}
+
+    def test_reset_clears_spans(self):
+        rec = self._traced()
+        with metrics.using(rec):
+            with obs.span("x"):
+                mexp(2, 10, 101)
+            metrics.reset()
+        assert rec.spans() == []
+        assert rec.total().modexp == 0
+
+    def test_tracing_off_records_no_span_and_no_book(self):
+        rec = metrics.Recorder()
+        with metrics.using(rec):
+            with metrics.scope("quiet"), obs.span("quiet") as span:
+                # Nothing but the scope itself is pushed.
+                assert metrics.active_scopes() == ["quiet"]
+                mexp(2, 10, 101)
+        assert span is obs.NOOP_SPAN
+        assert rec.spans() == []
+        assert rec.snapshot()["quiet"].modexp == 1
 
 
 class TestExporters:
@@ -105,14 +129,6 @@ class TestExporters:
         assert doc["scopes"]["j"]["widgets"] == 2
         assert doc["scopes"]["total"]["modexp"] == 1
         assert "events" not in doc
-
-    def test_json_with_events(self):
-        metrics.reset()
-        with metrics.tracing():
-            with metrics.scope("j"):
-                mexp(2, 10, 101)
-        doc = json.loads(metrics.export_json(include_events=True))
-        assert any(e["kind"] == "modexp" for e in doc["events"])
 
     def test_csv_has_scope_rows_and_extra_columns(self):
         metrics.reset()

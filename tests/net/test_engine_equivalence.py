@@ -5,8 +5,8 @@ in-memory bus), the simulator (`repro.net.runner`, FIFO or reordered),
 real sockets and the 2-shard cluster all run
 `repro.core.handshake.HandshakeDevice`.  Given the same per-party rngs
 they must reach identical outcomes, k', session keys and transcripts,
-and book identical per-party work — modexp, modmul, messages sent and
-received, hashes and inversions — however the frames interleave."""
+and book identical per-party work — modexp, messages sent and received,
+hashes and inversions — however the frames interleave."""
 
 import asyncio
 import random
@@ -270,7 +270,7 @@ def _observe(transport, members, policy):
     results = [(o.index, o.success, o.confirmed_peers, o.distinct,
                 o.duplicate_indices, o.k_prime, o.session_key, o.transcript)
                for o in outcomes]
-    books = [(c.modexp, c.modmul, c.messages_sent, c.messages_received,
+    books = [(c.modexp, c.messages_sent, c.messages_received,
               c.hashes, c.extra.get("inversions", 0))
              for c in (snap[f"hs:{i}"] for i in range(len(members)))]
     return results, books
@@ -296,7 +296,7 @@ def test_every_transport_matches_the_engine(room, scheme1_world,
     # Phase III pair, and receives the frames of the other m-1.
     m = len(members)
     frames = (1 if room == "gdh2" else 2) + 1 + policy.traceable
-    assert [books[2:4] for books in expected[1]] == \
+    assert [books[1:3] for books in expected[1]] == \
         [(frames, frames * (m - 1))] * m
 
 

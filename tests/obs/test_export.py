@@ -26,7 +26,7 @@ class TestChromeTrace:
     def test_document_structure(self):
         rec, spans = _spans_fixture()
         with metrics.using(rec):
-            doc = obsx.chrome_trace(spans, include_events=False)
+            doc = obsx.chrome_trace(spans)
         assert set(doc) == {"traceEvents", "displayTimeUnit"}
         events = doc["traceEvents"]
         meta = [e for e in events if e["ph"] == "M"]
@@ -41,7 +41,7 @@ class TestChromeTrace:
     def test_lanes_from_party_and_token(self):
         rec, spans = _spans_fixture()
         with metrics.using(rec):
-            doc = obsx.chrome_trace(spans, include_events=False)
+            doc = obsx.chrome_trace(spans)
         thread_names = {e["args"]["name"] for e in doc["traceEvents"]
                         if e["name"] == "thread_name"}
         assert "hs:0" in thread_names
@@ -50,7 +50,7 @@ class TestChromeTrace:
     def test_child_span_inherits_parent_lane(self):
         rec, spans = _spans_fixture()
         with metrics.using(rec):
-            doc = obsx.chrome_trace(spans, include_events=False)
+            doc = obsx.chrome_trace(spans)
         lanes = {e["tid"]: e["args"]["name"] for e in doc["traceEvents"]
                  if e["name"] == "thread_name"}
         by_name = {e["name"]: e for e in doc["traceEvents"]
@@ -66,7 +66,7 @@ class TestChromeTrace:
         with metrics.using(rec):
             obs.start_span("leaky", parent=None,
                            blob=b"\x00\x01", items=(1, 2)).end()
-            doc = obsx.chrome_trace(include_events=False)
+            doc = obsx.chrome_trace()
         args = [e for e in doc["traceEvents"] if e["ph"] == "X"][0]["args"]
         assert args["blob"] == "<bytes>"
         assert args["items"] == "<tuple>"
@@ -79,19 +79,27 @@ class TestChromeTrace:
         loaded = json.loads(path.read_text())
         assert loaded["traceEvents"]
 
-    def test_includes_metrics_events_when_asked(self):
+    def test_args_and_jsonl_carry_the_span_book(self):
         from repro.crypto.modmath import mexp
         rec = metrics.Recorder()
         rec.tracing = True
         with metrics.using(rec):
-            with metrics.scope("work"), obs.span("work"):
+            with obs.span("work", party=0):
                 mexp(2, 50, 1009)
-            doc = obsx.chrome_trace(include_events=True)
-        cats = {e.get("cat") for e in doc["traceEvents"] if e["ph"] == "X"}
-        assert cats == {"span", "metrics"}
-        # scope-begin/end events are skipped (spans already cover them).
-        names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
-        assert "scope-begin" not in names and "scope-end" not in names
+                mexp(3, 50, 1009)
+                metrics.count_message_sent(17)
+            doc = obsx.chrome_trace()
+            lines = obsx.spans_jsonl().splitlines()
+        xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        # Only spans are exported: one event, category "span".
+        assert [(e["name"], e["cat"]) for e in xs] == [("work", "span")]
+        assert xs[0]["args"] == {"party": 0, "modexp": 2,
+                                 "messages_sent": 1, "bytes_sent": 17}
+        row = json.loads(lines[0])
+        assert (row["attr.modexp"], row["attr.messages_sent"],
+                row["attr.bytes_sent"]) == (2, 1, 17)
+        # Zero counts and wall time are left off.
+        assert "attr.hashes" not in row and "attr.wall_time" not in row
 
 
 class TestJsonl:

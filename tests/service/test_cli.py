@@ -165,11 +165,23 @@ class TestTrace:
         assert len(jsonl_path.read_text().splitlines()) > 0
 
 
-class _ServerThread:
-    """A rendezvous server on its own thread + loop, for driving the CLI
-    client exactly as a user would (separate process boundary modulo GIL)."""
+def _rendezvous_server():
+    from repro.service import RendezvousServer, ServerConfig
+    return RendezvousServer(ServerConfig())
 
-    def __init__(self):
+
+def _cluster_router():
+    from repro.cluster import ClusterConfig, ClusterRouter
+    return ClusterRouter(ClusterConfig(shards=2, heartbeat_interval=0.1))
+
+
+class _ServerThread:
+    """A rendezvous server (or, with ``factory=_cluster_router``, a
+    cluster router) on its own thread + loop, for driving the CLI client
+    exactly as a user would (separate process boundary modulo GIL)."""
+
+    def __init__(self, factory=_rendezvous_server):
+        self.factory = factory
         self.started = threading.Event()
         self.port = None
         self._loop = None
@@ -177,12 +189,10 @@ class _ServerThread:
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def _run(self):
-        from repro.service import RendezvousServer, ServerConfig
-
         async def main():
             self._loop = asyncio.get_running_loop()
             self._stop = self._loop.create_future()
-            async with RendezvousServer(ServerConfig()) as server:
+            async with self.factory() as server:
                 self.port = server.port
                 self.started.set()
                 await self._stop
@@ -191,7 +201,7 @@ class _ServerThread:
 
     def __enter__(self):
         self._thread.start()
-        assert self.started.wait(10), "server thread failed to start"
+        assert self.started.wait(60), "server thread failed to start"
         return self
 
     def __exit__(self, *exc):
@@ -216,6 +226,59 @@ class TestJoin:
         code = cli.main(["join", "--port", str(port), "-m", "2",
                          "--seed", "11", "--deadline", "10"])
         assert code == 1
+
+
+def _unused_port():
+    probe = __import__("socket").socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return port
+
+
+class TestStatus:
+    """One ``status`` command for a relay and a cluster router: the
+    router's reply adds the cluster header and per-shard lines."""
+
+    def test_plain_server_prints_relay_lines(self, capsys):
+        with _ServerThread() as server:
+            code = cli.main(["status", "--port", str(server.port)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"relay 127.0.0.1:{server.port}")
+        assert "connections:" in out and "send queues:" in out
+        assert "shards:" not in out and "(merged)" not in out
+
+    def test_cluster_router_prints_shards_and_merged_tallies(self, capsys):
+        with _ServerThread(_cluster_router) as router:
+            code = cli.main(["status", "--port", str(router.port)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"cluster router 127.0.0.1:{router.port}")
+        assert "2 shards" in out
+        shard_lines = [line.split()[0] for line in out.splitlines()
+                       if line.startswith("  #")]
+        assert shard_lines == ["#0", "#1"]
+        assert "counters (merged):" in out
+        assert "svc-cluster:shards-up" in out
+        assert "send queues:" not in out
+
+    def test_json_prints_the_raw_reply(self, capsys):
+        import json
+        with _ServerThread() as server:
+            code = cli.main(["status", "--port", str(server.port), "--json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "rooms" in doc and "cluster" not in doc
+
+    def test_unreachable_port_exits_nonzero(self, capsys):
+        code = cli.main(["status", "--port", str(_unused_port()),
+                         "--timeout", "2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "could not query" in err[0]
 
 
 class TestTraceFromFile:
