@@ -65,12 +65,10 @@ class ShardHandle:
         self.process: Optional[multiprocessing.process.BaseProcess] = None
         self.conn = None                   # parent end of the pipe
         self.up_event: Optional[asyncio.Event] = None
-        #: Room checkpoints shipped up the pipe (live migration): latest
-        #: passive snapshot per token, plus the *final* exact snapshots a
-        #: drain produces — what the router re-places onto a peer shard.
-        self.checkpoints: Dict[str, dict] = {}
+        #: The *final* exact room checkpoints a drain produces (live
+        #: migration) — what the router re-places onto a peer shard.
+        #: Passive phase-boundary checkpoints are counted, not kept.
         self.final_checkpoints: Dict[str, dict] = {}
-        self.checkpoint_event: Optional[asyncio.Event] = None
         #: Restore acks (("restored", ...) pipe replies) keyed by token.
         self.restore_acks: Dict[str, dict] = {}
         self.restore_event: Optional[asyncio.Event] = None
@@ -115,7 +113,6 @@ class HealthMonitor:
         self._loop = asyncio.get_running_loop()
         for handle in self.handles.values():
             handle.up_event = asyncio.Event()
-            handle.checkpoint_event = asyncio.Event()
             handle.restore_event = asyncio.Event()
             parent_conn, child_conn = self._ctx.Pipe()
             handle.conn = parent_conn
@@ -196,12 +193,8 @@ class HealthMonitor:
             body = message[2]
             payload = body.get("checkpoint") or {}
             token = payload.get("token")
-            if token:
-                handle.checkpoints[token] = payload
-                if body.get("final"):
-                    handle.final_checkpoints[token] = payload
-                    if handle.checkpoint_event is not None:
-                        handle.checkpoint_event.set()
+            if token and body.get("final"):
+                handle.final_checkpoints[token] = payload
             with metrics.scope(handle.spec.scope):
                 metrics.bump("svc-cluster:checkpoints")
         elif kind == "restored":

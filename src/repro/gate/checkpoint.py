@@ -52,7 +52,7 @@ class RoomCheckpoint:
     rendezvous name (placement key), the unlinkable session token, the
     roster size and occupancy, DONE bookkeeping, the pending FIFO, the
     remaining fill/handshake deadline budget, phase progress, and the
-    room-scope counters accumulated so far.  No member identities, no
+    room's relay book accumulated so far.  No member identities, no
     key material — an untrusted relay has none to ship.
     """
 
@@ -73,7 +73,7 @@ class RoomCheckpoint:
     #: phase-progress marker ("dgka", "tag", "phase3", ...).
     relayed: int = 0
     phase_kind: Optional[str] = None
-    #: Room-scope counter book (replayed into the restoring recorder so
+    #: The room's relay book (replayed into the restoring recorder so
     #: cluster-aggregate books survive the donor shard's death).
     counters: Dict[str, int] = field(default_factory=dict)
     version: int = CHECKPOINT_VERSION

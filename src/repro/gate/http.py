@@ -14,7 +14,9 @@ Routes (all JSON unless noted):
   with the room name; the handshake completes in the background.
 * ``GET /rooms/{name}`` — lifecycle + outcome of a gateway-spawned
   room (``running`` -> ``completed``/``retryable``/``failed``), with
-  the full timed-room result once finished.
+  the full timed-room result once finished.  Running rooms are always
+  readable; only the newest :data:`FINISHED_KEEP` finished rooms are,
+  and an evicted one answers ``404`` like a name never spawned.
 * ``GET /status`` — the target's merged STATUS snapshot, proxied.
 * ``GET /metrics`` — the same snapshot rendered in Prometheus text
   exposition format (``text/plain``), scrape-ready.
@@ -45,6 +47,9 @@ _log = obslog.get_logger("repro.gate.http")
 _MAX_HEAD = 16 * 1024
 #: Largest accepted request body (JSON room specs are tiny).
 _MAX_BODY = 64 * 1024
+#: Finished rooms whose result documents stay readable; the oldest are
+#: evicted past this count.
+FINISHED_KEEP = 1024
 
 
 @dataclass
@@ -103,6 +108,8 @@ class HttpGateway:
         self.members = list(members)
         self.policy = policy
         self.rooms: Dict[str, _SpawnedRoom] = {}
+        #: Names of the finished rooms in ``rooms``, oldest first.
+        self._finished: Dict[str, None] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._spawned = 0
 
@@ -275,6 +282,7 @@ class HttpGateway:
         metrics.bump("gate:rooms-spawned")
         entry = _SpawnedRoom(name=name, m=m)
         entry.task = asyncio.ensure_future(self._run_room(entry))
+        self._finished.pop(name, None)    # a rerun replaces the old result
         self.rooms[name] = entry
         return 202, "application/json", json.dumps(
             {"room": name, "m": m, "state": entry.state}).encode()
@@ -300,10 +308,22 @@ class HttpGateway:
             obslog.log_event(_log, "gate-room-error", room=entry.name,
                              error=str(exc))
             return
-        entry.state = result.outcome
-        entry.result = result.as_dict()
-        obslog.log_event(_log, "gate-room-done", room=entry.name,
-                         outcome=result.outcome)
+        else:
+            entry.state = result.outcome
+            entry.result = result.as_dict()
+            obslog.log_event(_log, "gate-room-done", room=entry.name,
+                             outcome=result.outcome)
+        finally:
+            self._retire(entry)
+
+    def _retire(self, entry: _SpawnedRoom) -> None:
+        """Mark a room finished and evict the oldest finished rooms past
+        :data:`FINISHED_KEEP`; running rooms are never evicted."""
+        self._finished[entry.name] = None
+        while len(self._finished) > FINISHED_KEEP:
+            oldest = next(iter(self._finished))
+            del self._finished[oldest]
+            del self.rooms[oldest]
 
     def _get_room(self, name: str) -> Tuple[int, str, bytes]:
         entry = self.rooms.get(name)

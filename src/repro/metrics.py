@@ -515,15 +515,20 @@ def scope(name: str) -> Iterator[Counters]:
 
 
 @contextlib.contextmanager
-def book(name: str) -> Iterator[Counters]:
-    """Charge the block's operations to a private :class:`Counters` as
-    well — the counter book a :func:`repro.obs.span` carries.
+def book(name: str, counters: Optional[Counters] = None) -> Iterator[Counters]:
+    """Charge the block's operations to a :class:`Counters` book as well:
+    a fresh private one by default (the book a :func:`repro.obs.span`
+    carries), or ``counters``, a book the caller owns and pushes again
+    each time it resumes work (a relay room's book, read whole into every
+    room checkpoint).
 
     The book is pushed onto the scope stack like a scope, so every count
     hook and :func:`replay` charge it with no code of their own.  It is
     not registered with the recorder: it never appears in
-    :func:`snapshot`, and it keeps no wall time."""
-    counters = Counters()
+    :func:`snapshot`, it keeps no wall time, and it is freed with its
+    owner."""
+    if counters is None:
+        counters = Counters()
     token = _STACK.set(_STACK.get() + (_Frame(name, counters),))
     try:
         yield counters

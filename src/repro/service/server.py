@@ -25,11 +25,16 @@ Robustness machinery:
 Observability (docs/OBSERVABILITY.md): accepts, frames in/out, room
 lifecycle and every error path (abort/error frames sent, fill/handshake/
 idle timeouts fired, send-queue drops) land in the :mod:`repro.metrics`
-layer under ``svc:*`` bumps; each room's relay loop runs inside scope
-``room:<token>`` so relayed messages and room wall time are attributable
-per room; per-frame relay latency feeds the ``svc:relay-latency``
-histogram; room lifecycle (fill → relay) is span-traced when tracing is
-on; structured JSON logs go through :mod:`repro.obs.logging` with the
+layer under ``svc:*`` bumps; each room carries its own relay book, a
+:class:`repro.metrics.Counters` pushed with :func:`repro.metrics.book`
+whenever its relay loop runs, so relayed messages are attributable per
+room and a checkpoint reads the room's book alone; a room's wall time is
+the ``svc:room-lifetime`` histogram plus the ``room`` span; per-frame
+relay latency feeds the ``svc:relay-latency`` histogram; room lifecycle
+(fill → relay) is span-traced when tracing is on; a closed room leaves
+the registry at once, keeping only the STATUS tallies and, for the
+newest :data:`OUTCOMES_KEEP` rooms, its outcome; structured JSON logs go
+through :mod:`repro.obs.logging` with the
 anonymity redaction rule (random room tokens and roster indices only —
 never rendezvous names, member identifiers, or payload bytes); and a
 one-shot ``STATUS`` control query (see :meth:`RendezvousServer.status`)
@@ -63,13 +68,9 @@ _log = obslog.get_logger("repro.service.server")
 #: no more are coming — snapshot the room now" (drain-migration quiesce).
 _QUIESCE = object()
 
-
-def _scope_counts(scope_name: str) -> Dict[str, int]:
-    """The replayable counter book of one scope — what a room checkpoint
-    ships so the cluster-aggregate books survive the donor shard's death
-    (:func:`repro.metrics.replay` on the restoring side)."""
-    counters = metrics.current_recorder().snapshot().get(scope_name)
-    return counters.counts() if counters is not None else {}
+#: Closed rooms whose token -> outcome :meth:`RendezvousServer.room_outcomes`
+#: keeps; older ones survive only in the STATUS tallies.
+OUTCOMES_KEEP = 1024
 
 
 @dataclass
@@ -222,6 +223,9 @@ class _Room:
         self.quiesced: set = set()
         self.restore_state: Optional[str] = None
         self._ship_requested = False
+        # The room's relay book: what its relay loop charged, shipped in
+        # every checkpoint so the cluster's books survive a migration.
+        self.book = metrics.Counters()
         # Lifecycle spans (fill -> relay under one root); identified by
         # the unlinkable token only — never the rendezvous name.  The
         # root adopts the opening member's trace context, so the room's
@@ -286,7 +290,7 @@ class _Room:
         if self.relay_deadline is None:
             self.relay_deadline = (loop.time()
                                    + self.server.config.handshake_timeout)
-        with metrics.scope(self.scope):
+        with metrics.book(self.scope, self.book):
             while self.state == self.ACTIVE:
                 remaining = self.relay_deadline - loop.time()
                 if remaining <= 0:
@@ -338,7 +342,7 @@ class _Room:
             await asyncio.sleep(action.delay)
         copies = 1 if action is None else action.copies
         if action is not None and action.disconnect_sender:
-            metrics.bump("room-disconnects")
+            metrics.bump("svc:relay-disconnects")
             victim = self.members[sender]
             if victim is None:
                 return
@@ -349,7 +353,7 @@ class _Room:
             self.abort("peer-disconnect")
             return
         if copies == 0:
-            metrics.bump("room-drops")
+            metrics.bump("svc:relay-drops")
             return
         message = protocol.Deliver(payload=payload)
         frame = framing.encode_frame(protocol.encode_message(message))
@@ -358,9 +362,9 @@ class _Room:
                 if conn is None or conn.index == sender or conn.kicked:
                     continue
                 await conn.send_frame(frame)
-            metrics.bump("room-relays")
+            metrics.bump("svc:messages-relayed")
         if copies > 1:
-            metrics.bump("room-duplicates")
+            metrics.bump("svc:relay-duplicates")
 
     # Lifecycle ------------------------------------------------------------
 
@@ -490,7 +494,7 @@ class _Room:
             fill_remaining_s=fill_remaining,
             handshake_remaining_s=handshake_remaining,
             relayed=self.relayed, phase_kind=self.phase_kind,
-            counters=_scope_counts(self.scope))
+            counters=self.book.counts())
 
     # Migration: restore -> attach -> resume ---------------------------------
 
@@ -577,13 +581,17 @@ class RendezvousServer:
         self.config = config or ServerConfig()
         self._server: Optional[asyncio.AbstractServer] = None
         self._filling: Dict[str, _Room] = {}
-        self._rooms: Dict[str, _Room] = {}     # token -> room (all states)
+        #: token -> room, open rooms only (filling, active, restoring):
+        #: its size is the admission count, and a closed room is dropped.
+        self._rooms: Dict[str, _Room] = {}
+        self._closed = 0
+        self._outcome_tally: Dict[str, int] = {}
+        self._outcomes: Dict[str, str] = {}    # newest OUTCOMES_KEEP only
         self._handlers: set = set()
         self._connections: set = set()         # live _Connection objects
         self._conn_ids = itertools.count(1)
         self._accepting = False
         self._started = 0.0
-        self._open_rooms = 0           # filling + active (admission control)
         #: Cluster hook (set by the shard worker): called with
         #: ``(checkpoint_payload, final)`` for every room checkpoint so it
         #: can travel up the supervision pipe.  ``None`` (standalone
@@ -632,8 +640,7 @@ class RendezvousServer:
             except asyncio.TimeoutError:
                 pass
         for room in list(self._rooms.values()):
-            if room.state != _Room.CLOSED:
-                room.abort("server-shutdown")
+            room.abort("server-shutdown")
         for task in list(self._handlers):
             task.cancel()
         if self._handlers:
@@ -642,28 +649,24 @@ class RendezvousServer:
     # Introspection --------------------------------------------------------
 
     def room_outcomes(self) -> Dict[str, str]:
-        """token -> "completed" / abort reason, for closed rooms."""
-        return {t: r.outcome for t, r in self._rooms.items()
-                if r.outcome is not None}
+        """token -> "completed" / abort reason, for the newest
+        :data:`OUTCOMES_KEEP` closed rooms."""
+        return dict(self._outcomes)
 
     def status(self) -> Dict[str, object]:
         """Live telemetry snapshot — what a STATUS query returns.
 
         Aggregates only (the anonymity rule, docs/OBSERVABILITY.md):
-        room counts by state keyed to random tokens' existence, queue
-        depths, ``svc:*`` counters and histogram summaries.  No rendezvous
-        names, member identifiers or payload bytes appear."""
-        states = {_Room.FILLING: 0, _Room.ACTIVE: 0, _Room.CLOSED: 0,
-                  _Room.RESTORING: 0}
+        open-room counts by state, running tallies of closed rooms and
+        their outcomes, queue depths, ``svc:*`` counters and histogram
+        summaries.  No rendezvous names, member identifiers or payload
+        bytes appear."""
+        states = {_Room.FILLING: 0, _Room.ACTIVE: 0, _Room.RESTORING: 0}
         relay_backlog = 0
         for room in self._rooms.values():
             states[room.state] += 1
-            if room.state in (_Room.ACTIVE, _Room.RESTORING):
-                relay_backlog += room.queue.qsize()
+            relay_backlog += room.queue.qsize()
         depths = [c.queue.qsize() for c in self._connections]
-        outcomes: Dict[str, int] = {}
-        for outcome in self.room_outcomes().values():
-            outcomes[outcome] = outcomes.get(outcome, 0) + 1
         rec = metrics.current_recorder()
         counters = {name: value
                     for name, value in sorted(rec.total().extra.items())
@@ -678,11 +681,11 @@ class RendezvousServer:
             "connections": len(self._connections),
             "rooms": {"filling": states[_Room.FILLING],
                       "active": states[_Room.ACTIVE],
-                      "closed": states[_Room.CLOSED],
+                      "closed": self._closed,
                       "restoring": states[_Room.RESTORING]},
-            "admission": {"open_rooms": self._open_rooms,
+            "admission": {"open_rooms": len(self._rooms),
                           "max_rooms": self.config.max_rooms},
-            "outcomes": outcomes,
+            "outcomes": dict(self._outcome_tally),
             "send_queues": {"total_depth": sum(depths),
                             "max_depth": max(depths, default=0)},
             "relay_backlog": relay_backlog,
@@ -791,7 +794,7 @@ class RendezvousServer:
         room = self._filling.get(hello.room)
         if room is None:
             if (self.config.max_rooms is not None
-                    and self._open_rooms >= self.config.max_rooms):
+                    and len(self._rooms) >= self.config.max_rooms):
                 metrics.bump("svc:busy-sheds")
                 metrics.bump("svc:busy:at-capacity")
                 obslog.log_event(_log, "busy-shed", conn=conn.conn_id,
@@ -805,7 +808,6 @@ class RendezvousServer:
                          trace=obs.valid_trace(hello.trace))
             self._filling[hello.room] = room
             self._rooms[room.token] = room
-            self._open_rooms += 1
             metrics.bump("svc:rooms-opened")
             loop = asyncio.get_running_loop()
             room.fill_deadline = loop.time() + self.config.room_fill_timeout
@@ -862,8 +864,16 @@ class RendezvousServer:
             room.abort("fill-timeout")
 
     def _room_closed(self, room: _Room) -> None:
-        self._filling.pop(room.name, None)
-        self._open_rooms = max(0, self._open_rooms - 1)
+        """Drop a closed room; only its tallies and outcome remain."""
+        if self._filling.get(room.name) is room:
+            del self._filling[room.name]
+        del self._rooms[room.token]
+        self._closed += 1
+        self._outcome_tally[room.outcome] = (
+            self._outcome_tally.get(room.outcome, 0) + 1)
+        self._outcomes[room.token] = room.outcome
+        if len(self._outcomes) > OUTCOMES_KEEP:
+            del self._outcomes[next(iter(self._outcomes))]
 
     # Checkpoint / restore ---------------------------------------------------
 
@@ -882,8 +892,9 @@ class RendezvousServer:
         Validates the versioned payload (:class:`ProtocolError` on
         anything this node does not speak — see repro.gate.checkpoint),
         rebuilds the room in ``RESTORING`` state with placeholder roster
-        slots, replays the donor's room-scope counter book so cluster
-        aggregates survive the donor's death, re-enqueues the pending
+        slots, replays the donor's relay book into the room's own book
+        and the recorder so cluster aggregates survive the donor's death
+        (an open room's token must not collide), re-enqueues the pending
         FIFO in order, and re-arms the *remaining* deadline budget.  The
         room resumes when the router has ATTACHed every live member.
         """
@@ -904,8 +915,7 @@ class RendezvousServer:
         for sender, item in checkpoint.pending:
             room.queue.put_nowait((sender, item, time.perf_counter()))
         self._rooms[checkpoint.token] = room
-        self._open_rooms += 1
-        with metrics.scope(room.scope):
+        with metrics.book(room.scope, room.book):
             metrics.replay(checkpoint.counters)
         metrics.bump("svc:rooms-migrated-in")
         loop = asyncio.get_running_loop()

@@ -200,10 +200,12 @@ class TestMigrationIsInvisible:
         the checkpoint into the target's recorder, so the merged cluster
         book equals the single-process control even though the donor is
         dead and excluded from the merge."""
+        m = migration_world["m"]
         single_total = migration_world["single_rec"].total().extra
         merged = migration_world["status"]["counters"]
-        assert merged.get("svc:messages-relayed") == \
-            single_total.get("svc:messages-relayed")
+        # One relayed frame per broadcast: 4 per party.
+        assert single_total.get("svc:messages-relayed") == 4 * m
+        assert merged.get("svc:messages-relayed") == 4 * m
         assert merged.get("svc:rooms-completed") == 1
         states = migration_world["status"]["cluster"]["states"]
         assert 0 not in states.get("up", [])

@@ -14,6 +14,7 @@ from repro import metrics
 from repro.cluster import ClusterConfig, ClusterRouter
 from repro.core.scheme1 import scheme1_policy
 from repro.gate import GatewayConfig, HttpGateway
+from repro.gate import http as gate_http
 from repro.service import RendezvousServer, ServerConfig
 
 TEST_CAP = 60.0
@@ -124,6 +125,33 @@ class TestRooms:
         extra = recorder.total().extra
         assert extra.get("gate:rooms-spawned") == 1
         assert extra.get("gate:requests", 0) >= 2
+
+    def test_oldest_finished_rooms_are_evicted(self, scheme1_world,
+                                               monkeypatch):
+        # raising=False: without the bound the test fails on the 404.
+        monkeypatch.setattr(gate_http, "FINISHED_KEEP", 2, raising=False)
+        members = scheme1_world.lineup("alice", "bob")
+
+        async def scenario():
+            async with _World(members, scheme1_policy()) as world:
+                port = world.gateway.port
+                for name in ("first", "second", "third"):
+                    code, _ = await _request(
+                        port, "POST", "/rooms",
+                        json.dumps({"room": name}).encode())
+                    assert code == 202
+                    while world.gateway.rooms[name].state == "running":
+                        await asyncio.sleep(0.01)
+                return {name: await _request(port, "GET", f"/rooms/{name}")
+                        for name in ("first", "second", "third")}
+
+        with metrics.using(metrics.Recorder()):
+            results = _run(scenario())
+        assert results["first"][0] == 404
+        for name in ("second", "third"):
+            code, body = results[name]
+            assert code == 200
+            assert json.loads(body)["state"] == "completed"
 
     def test_post_room_validates_input(self, scheme1_world):
         members = scheme1_world.lineup("alice", "bob")
