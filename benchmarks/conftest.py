@@ -41,13 +41,27 @@ class BenchWorld:
     framework: GcdFramework
     members: List[GcdMember]
     rng: random.Random
+    seed: int
 
 
 def _build(factory, group_id: str, count: int, seed: int) -> BenchWorld:
     rng = random.Random(seed)
     framework = factory(group_id, rng=rng)
     members = [framework.admit_member(f"user-{i}", rng) for i in range(count)]
-    return BenchWorld(framework=framework, members=members, rng=rng)
+    return BenchWorld(framework=framework, members=members, rng=rng,
+                      seed=seed)
+
+
+@pytest.fixture(autouse=True)
+def reseed_worlds(request):
+    """Reseed each bench world a bench uses from the world's seed and the
+    bench's name: the worlds are shared by the whole session, so without
+    this a bench's draws, and the books its metrics snapshot records,
+    would depend on which benches ran before it."""
+    for name in ("bench_scheme1", "bench_scheme2", "bench_other_group"):
+        if name in request.fixturenames:
+            world = request.getfixturevalue(name)
+            world.rng.seed(f"{world.seed}:{request.node.name}")
 
 
 @pytest.fixture(scope="session")

@@ -14,15 +14,16 @@ Subcommands:
   renders the tables from a previously exported JSON snapshot instead
   (one line + nonzero exit on a missing/empty file).  Exits nonzero if
   any same-group handshake in the sweep fails.
-* ``trace`` — run one fully traced handshake (engine, simulator, or a
-  loopback socket room) and render the span timeline as an ASCII Gantt
-  (each span carries the counter book of its work);
-  ``--out`` writes a Chrome ``trace_event`` JSON loadable in Perfetto
-  (https://ui.perfetto.dev) and ``--jsonl`` a span log; ``--cluster``
-  runs the room against a self-hosted multi-process cluster and merges
-  client, router and shard spans into one cross-process trace;
-  ``--in PATH`` re-renders a previously exported span log.  Exits
-  nonzero if the handshake fails (or the input file is missing/empty).
+* ``trace`` — run one fully traced handshake (engine, simulator, a
+  loopback socket room, or ``--transport cluster``: a room through a
+  self-hosted multi-process cluster, with client, router and shard
+  lanes) and render the span timeline as an ASCII Gantt (each span
+  carries the counter book of its work); ``--out`` writes a Chrome
+  ``trace_event`` JSON loadable in Perfetto (https://ui.perfetto.dev)
+  and ``--jsonl`` a span log; ``--in PATH`` re-renders a previously
+  exported span log exactly as the live run printed it.  All three come
+  from the one span exporter, ``repro.obs.export``.  Exits nonzero if
+  the handshake fails (or the input file is missing/empty).
 * ``serve`` — run the asyncio rendezvous server (an untrusted relay for
   handshake rooms) until interrupted; with ``--shards N`` run the
   multi-process cluster instead (a front-door router consistent-hashing
@@ -170,6 +171,22 @@ def _demo(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _world(seed: int, scheme: str, count: int, group: str):
+    """Seed a scheme-``scheme`` group named ``group`` and enrol ``count``
+    members (``user-0`` …) from one ``random.Random(seed)``; returns the
+    members, the scheme's policy and that rng, left where enrolment
+    stopped.  Every seeded CLI world comes from here, so a process that
+    reuses a seed and group name derives the same credentials."""
+    rng = random.Random(seed)
+    if scheme == "2":
+        framework, policy = create_scheme2(group, rng=rng), scheme2_policy()
+    else:
+        framework, policy = create_scheme1(group, rng=rng), scheme1_policy()
+    members = [framework.admit_member(f"user-{i}", rng)
+               for i in range(count)]
+    return members, policy, rng
+
+
 def _stats_from(args: argparse.Namespace) -> int:
     """Render the tables from a previously exported metrics JSON snapshot
     (``repro stats --format json`` output) instead of re-running anything."""
@@ -216,19 +233,12 @@ def _stats(args: argparse.Namespace) -> int:
     if args.from_path:
         return _stats_from(args)
     _apply_accel(args)
-    rng = random.Random(args.seed)
-    if args.scheme == "2":
-        framework = create_scheme2("stats-group", rng=rng)
-        policy = scheme2_policy()
-    else:
-        framework = create_scheme1("stats-group", rng=rng)
-        policy = scheme1_policy()
     top = max(args.parties)
     # Progress goes to stderr so ``--format json|csv`` stdout stays parseable.
     progress = sys.stdout if args.format == "table" else sys.stderr
     print(f"building scheme-{args.scheme} group with {top} members "
           f"(seed {args.seed}) …", file=progress)
-    members = [framework.admit_member(f"user-{i}", rng) for i in range(top)]
+    members, policy, rng = _world(args.seed, args.scheme, top, "stats-group")
 
     table_out = args.format == "table"
     all_ok = True
@@ -271,67 +281,82 @@ def _stats(args: argparse.Namespace) -> int:
 
 
 def _trace(args: argparse.Namespace) -> int:
-    from repro.obs import export as obs_export
+    from repro.obs import export
 
     if args.infile:
         # Re-render a previously exported span log — no handshake run.
-        from repro.obs import telemetry
         try:
-            spans = telemetry.load_spans_jsonl(args.infile)
+            sources = export.load_spans_jsonl(args.infile)
         except (OSError, ValueError) as exc:
             print(f"!! cannot load spans from {args.infile}: {exc}",
                   file=sys.stderr)
             return 1
-        print(obs_export.render_gantt(
-            spans, width=args.width,
-            title=f"spans from {args.infile} ({len(spans)} spans)"))
+        count = sum(len(source["spans"]) for source in sources)
+        print(export.render_gantt(
+            sources, width=args.width,
+            title=f"spans from {args.infile} ({count} spans)"))
         return 0
-    if args.cluster:
-        return _trace_cluster(args)
-    rng = random.Random(args.seed)
-    if args.scheme == "2":
-        framework = create_scheme2("trace-group", rng=rng)
-        policy = scheme2_policy()
-    else:
-        framework = create_scheme1("trace-group", rng=rng)
-        policy = scheme1_policy()
     print(f"building scheme-{args.scheme} group with {args.m} members "
           f"(seed {args.seed}) …")
-    members = [framework.admit_member(f"user-{i}", rng)
-               for i in range(args.m)]
+    members, policy, rng = _world(args.seed, args.scheme, args.m,
+                                  "trace-group")
 
     metrics.reset()
-    metrics.enable_tracing()
-    if args.transport == "engine":
-        outcomes = run_handshake(members, policy, rng)
-    elif args.transport == "sim":
-        from repro.net.runner import run_handshake_over_network
-        outcomes = run_handshake_over_network(members, policy, rng=rng)
-    else:  # socket: loopback rendezvous room over real TCP
-        from repro.service import (ClientConfig, RendezvousServer,
-                                   ServerConfig, run_room)
+    metrics.enable_tracing()    # a cluster router's placement spans too
+    if args.transport == "cluster":
+        from repro.cluster import ClusterConfig, ClusterRouter
+        from repro.load.generator import run_timed_room
+        from repro.service import ClientConfig
 
-        async def socket_room():
-            async with RendezvousServer(ServerConfig(port=0)) as server:
-                config = ClientConfig(port=server.port, room="trace-room",
-                                      m=args.m)
-                return await run_room(members, config, policy)
+        async def cluster_room():
+            router = await ClusterRouter(ClusterConfig(
+                host="127.0.0.1", port=0, shards=args.shards,
+                trace=True)).start()
+            try:
+                result = await run_timed_room(
+                    members, ClientConfig(port=router.port,
+                                          room="trace-room", m=args.m),
+                    policy)
+                return result, await _trace_sources([result], router)
+            finally:
+                await router.shutdown()
 
-        outcomes = asyncio.run(socket_room())
+        result, sources = asyncio.run(cluster_room())
+        ok = result.outcome == "completed"
+        title = (f"cluster handshake, m={args.m}, {args.shards} shards, "
+                 f"trace={result.trace_id or '-'}, "
+                 f"outcome={result.outcome}")
+    else:
+        if args.transport == "engine":
+            outcomes = run_handshake(members, policy, rng)
+        elif args.transport == "sim":
+            from repro.net.runner import run_handshake_over_network
+            outcomes = run_handshake_over_network(members, policy, rng=rng)
+        else:  # socket: loopback rendezvous room over real TCP
+            from repro.service import (ClientConfig, RendezvousServer,
+                                       ServerConfig, run_room)
 
-    ok = all(o.success for o in outcomes)
-    spans = metrics.spans()
+            async def socket_room():
+                async with RendezvousServer(ServerConfig(port=0)) as server:
+                    config = ClientConfig(port=server.port,
+                                          room="trace-room", m=args.m)
+                    return await run_room(members, config, policy)
+
+            outcomes = asyncio.run(socket_room())
+        ok = all(o.success for o in outcomes)
+        sources = [{"spans": metrics.spans()}]
+        title = f"{args.transport} handshake, m={args.m}, success={ok}"
+
+    count = sum(len(source["spans"]) for source in sources)
     print()
-    print(obs_export.render_gantt(
-        spans, width=args.width,
-        title=f"{args.transport} handshake, m={args.m}, success={ok} "
-              f"({len(spans)} spans)"))
+    print(export.render_gantt(sources, width=args.width,
+                              title=f"{title} ({count} spans)"))
     if args.out:
-        obs_export.export_chrome_trace(args.out, spans)
+        export.export_chrome_trace(args.out, sources)
         print(f"\nwrote Chrome trace to {args.out} "
               f"(load it at https://ui.perfetto.dev)")
     if args.jsonl:
-        obs_export.export_spans_jsonl(args.jsonl, spans)
+        export.export_spans_jsonl(args.jsonl, sources)
         print(f"wrote span log to {args.jsonl}")
     if not ok:
         print("\n!! handshake failed", file=sys.stderr)
@@ -339,84 +364,26 @@ def _trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_cluster(args: argparse.Namespace) -> int:
-    """One traced room against a self-hosted cluster: client, router and
-    shard spans stitched into one trace (``repro trace --cluster``)."""
-    from repro.cluster import ClusterConfig, ClusterRouter
-    from repro.load.generator import run_timed_room
-    from repro.obs import telemetry
-    from repro.service import ClientConfig
-
-    rng = random.Random(args.seed)
-    if args.scheme == "2":
-        framework = create_scheme2("trace-group", rng=rng)
-        policy = scheme2_policy()
-    else:
-        framework = create_scheme1("trace-group", rng=rng)
-        policy = scheme1_policy()
-    shards = args.shards if args.shards > 0 else 2
-    print(f"building scheme-{args.scheme} group with {args.m} members "
-          f"(seed {args.seed}); self-hosting a {shards}-shard cluster …")
-    members = [framework.admit_member(f"user-{i}", rng)
-               for i in range(args.m)]
-
-    metrics.reset()
-    metrics.enable_tracing()        # router placement spans land here
-
-    async def run():
-        config = ClusterConfig(host="127.0.0.1", port=0, shards=shards,
-                               trace=True)
-        router = await ClusterRouter(config).start()
-        try:
-            client = ClientConfig(port=router.port, room="trace-room",
-                                  m=args.m)
-            result = await run_timed_room(members, client, policy)
-            # Shard spans travel on the heartbeat channel — give the last
-            # batch a couple of beats to arrive before collecting.
-            await asyncio.sleep(3 * config.heartbeat_interval)
-            return result, router.shipped_spans()
-        finally:
-            await router.shutdown()
-
-    result, shipped = asyncio.run(run())
-    ok = result.outcome == "completed"
-    sources = [
-        {"label": "client", "epoch": result.span_epoch,
-         "spans": result.spans},
-        {"label": "router", "epoch": metrics.current_recorder().epoch,
-         "spans": telemetry.span_dicts(metrics.spans())},
-    ]
-    for shard_id, batch in sorted(shipped.items()):
-        if batch["spans"]:
-            sources.append({"label": f"shard:{shard_id}",
-                            "epoch": batch["epoch"],
-                            "spans": batch["spans"]})
-    print()
-    print(telemetry.render_cluster_gantt(
-        sources, width=args.width,
-        title=f"cluster handshake, m={args.m}, {shards} shards, "
-              f"trace={result.trace_id or '-'}, outcome={result.outcome}"))
-    if args.out:
-        telemetry.export_merged_trace(args.out, sources)
-        print(f"\nwrote merged cluster trace to {args.out} "
-              f"(load it at https://ui.perfetto.dev — one lane per "
-              f"process, search the trace id to follow the room)")
-    if args.jsonl:
-        import json as _json
-
-        from repro.obs.export import _arg
-        with open(args.jsonl, "w") as handle:
-            for source in sources:
-                for row in telemetry.span_dicts(source["spans"]):
-                    handle.write(_json.dumps(
-                        {"lane": source["label"],
-                         **{k: _arg(v) for k, v in row.items()}},
-                        sort_keys=True) + "\n")
-        print(f"wrote span log to {args.jsonl}")
-    if not ok:
-        print("\n!! handshake failed", file=sys.stderr)
-        return 1
-    return 0
+async def _trace_sources(results, router=None):
+    """The span sources of a traced run: one ``client`` source per room
+    (each room records under its own recorder), this thread's relay or
+    ``router`` spans, and a self-hosted cluster's ``shard:<i>`` batches."""
+    if router is not None:
+        # Shard spans travel on the heartbeat channel: give the last
+        # batches a few beats to arrive.
+        await asyncio.sleep(3 * router.config.heartbeat_interval)
+    sources = [{"label": "client", "epoch": r.span_epoch, "spans": r.spans}
+               for r in results if r.spans]
+    own = metrics.spans()
+    if own:
+        sources.append({"label": "router" if router is not None else "relay",
+                        "epoch": metrics.current_recorder().epoch,
+                        "spans": own})
+    if router is not None:
+        sources += [{"label": f"shard:{shard_id}", **batch}
+                    for shard_id, batch in router.shipped_spans().items()
+                    if batch["spans"]]
+    return sources
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +575,7 @@ def _serve(args: argparse.Namespace) -> int:
 
 
 def _gate(args: argparse.Namespace) -> int:
-    from repro.gate.http import GatewayConfig, HttpGateway, derive_members
+    from repro.gate.http import GatewayConfig, HttpGateway
 
     async def main() -> int:
         router = None
@@ -620,7 +587,8 @@ def _gate(args: argparse.Namespace) -> int:
             target_port = router.port
             print(f"cluster router on {args.host}:{target_port} "
                   f"({args.shards} shards)")
-        members, policy = derive_members(args.scheme, args.seed, args.pool)
+        members, policy, _ = _world(args.seed, args.scheme, args.pool,
+                                    "gate-group")
         gateway = await HttpGateway(
             GatewayConfig(host=args.host, port=args.port,
                           target_host=args.host, target_port=target_port,
@@ -646,19 +614,6 @@ def _gate(args: argparse.Namespace) -> int:
         return 0
 
 
-def _build_join_world(args: argparse.Namespace):
-    rng = random.Random(args.seed)
-    if args.scheme == "2":
-        framework = create_scheme2("cli-room", rng=rng)
-        policy = scheme2_policy()
-    else:
-        framework = create_scheme1("cli-room", rng=rng)
-        policy = scheme1_policy()
-    members = [framework.admit_member(f"user-{i}", rng)
-               for i in range(args.m)]
-    return members, policy
-
-
 def _join(args: argparse.Namespace) -> int:
     from repro.core.handshake import HandshakeOutcome
     from repro.service import ClientConfig, join_room, run_room
@@ -666,7 +621,7 @@ def _join(args: argparse.Namespace) -> int:
     _apply_accel(args)
     print(f"deriving scheme-{args.scheme} group from seed {args.seed} "
           f"(m={args.m}) …")
-    members, policy = _build_join_world(args)
+    members, policy, _ = _world(args.seed, args.scheme, args.m, "cli-room")
     config = ClientConfig(host=args.host, port=args.port, room=args.room,
                           m=args.m, deadline=args.deadline)
 
@@ -701,15 +656,8 @@ def _load(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"!! bad --mix: {exc}", file=sys.stderr)
         return 1
-    rng = random.Random(args.seed)
-    if args.scheme == "2":
-        framework = create_scheme2("load-group", rng=rng)
-        policy = scheme2_policy()
-    else:
-        framework = create_scheme1("load-group", rng=rng)
-        policy = scheme1_policy()
-    members = [framework.admit_member(f"user-{i}", rng)
-               for i in range(mix.max_m)]
+    members, policy, _ = _world(args.seed, args.scheme, mix.max_m,
+                                "load-group")
     config = LoadConfig(
         host=args.host, port=args.port, rate=args.rate,
         duration=args.duration, process=args.process,
@@ -754,27 +702,10 @@ def _load(args: argparse.Namespace) -> int:
             print(f"wrote {len(sampler.series)} Prometheus samples "
                   f"to {args.prom}/")
         if args.trace:
-            if router is not None:
-                # Give the shards' last heartbeat batches time to land.
-                await asyncio.sleep(
-                    3 * router.config.heartbeat_interval)
-            sources = [{"label": "client", "epoch": r.span_epoch,
-                        "spans": r.spans}
-                       for r in results if r.spans]
-            own = telemetry.span_dicts(metrics.spans())
-            if own:
-                sources.append({
-                    "label": "router" if router is not None else "relay",
-                    "epoch": metrics.current_recorder().epoch,
-                    "spans": own})
-            if router is not None:
-                for shard_id, batch in sorted(
-                        router.shipped_spans().items()):
-                    if batch["spans"]:
-                        sources.append({"label": f"shard:{shard_id}",
-                                        "epoch": batch["epoch"],
-                                        "spans": batch["spans"]})
-            telemetry.export_merged_trace(args.trace, sources)
+            from repro.obs import export
+
+            sources = await _trace_sources(results, router)
+            export.export_chrome_trace(args.trace, sources)
             spans_n = sum(len(s["spans"]) for s in sources)
             print(f"wrote merged trace to {args.trace} "
                   f"({len(sources)} sources, {spans_n} spans — load it "
@@ -980,11 +911,14 @@ def main(argv=None) -> int:
                       "timeline (ASCII Gantt; optional Perfetto export)")
     trace.add_argument("-m", type=int, default=3,
                        help="party count (default: 3)")
-    trace.add_argument("--transport", choices=("engine", "sim", "socket"),
+    trace.add_argument("--transport",
+                       choices=("engine", "sim", "socket", "cluster"),
                        default="sim",
                        help="how to run the handshake: synchronous engine, "
-                            "in-process simulator (default), or a loopback "
-                            "TCP rendezvous room")
+                            "in-process simulator (default), a loopback "
+                            "TCP rendezvous room, or a room through a "
+                            "self-hosted multi-process cluster (client, "
+                            "router and shard lanes in one trace)")
     trace.add_argument("--scheme", choices=("1", "2"), default="1")
     trace.add_argument("--seed", type=int, default=2005)
     trace.add_argument("--width", type=int, default=60,
@@ -994,12 +928,9 @@ def main(argv=None) -> int:
                             "(load at https://ui.perfetto.dev)")
     trace.add_argument("--jsonl", metavar="PATH",
                        help="write finished spans as JSON lines")
-    trace.add_argument("--cluster", action="store_true",
-                       help="run the room against a self-hosted "
-                            "multi-process cluster and merge client, "
-                            "router and shard spans into one trace")
     trace.add_argument("--shards", type=int, default=2, metavar="N",
-                       help="shard count for --cluster (default: 2)")
+                       help="shard count for --transport cluster "
+                            "(default: 2)")
     trace.add_argument("--in", dest="infile", metavar="PATH",
                        help="render a previously exported span log "
                             "(--jsonl output) instead of running a "
@@ -1188,6 +1119,8 @@ def main(argv=None) -> int:
     if args.command == "trace":
         if args.m < 2:
             trace.error("a handshake needs at least two parties (-m >= 2)")
+        if args.transport == "cluster" and args.shards < 1:
+            trace.error("--shards must be >= 1")
         return _trace(args)
     if args.command == "serve":
         return _serve(args)

@@ -109,7 +109,7 @@ class ClusterConfig:
     token_seeds: Optional[List[int]] = None
     #: Enable span tracing cluster-wide: the router records placement
     #: spans and every shard ships its finished spans back over the
-    #: heartbeat pipe for the merged trace (:mod:`repro.obs.telemetry`).
+    #: heartbeat pipe for the cluster trace (:mod:`repro.obs.export`).
     trace: bool = False
 
 
@@ -720,8 +720,7 @@ class ClusterRouter:
     def shipped_spans(self) -> Dict[int, Dict[str, object]]:
         """Per-shard span batches received over the heartbeat pipe so far:
         ``{shard_id: {"epoch": float|None, "spans": [dict, ...]}}`` — the
-        shard lanes of a merged cluster trace
-        (:func:`repro.obs.telemetry.merge_chrome_trace`)."""
+        shard sources of a cluster trace (:mod:`repro.obs.export`)."""
         assert self.monitor is not None
         return {
             shard_id: {"epoch": handle.span_epoch,

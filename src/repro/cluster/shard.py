@@ -17,7 +17,7 @@ Supervision protocol (pickled tuples on the pipe; parent side in
   these into the aggregated cluster STATUS — no extra query path);
   ``("spans", shard_id, {"epoch", "spans"})`` batches of finished spans
   when tracing is on (drained each beat plus a final flush — the raw
-  material of the merged cluster trace, :mod:`repro.obs.telemetry`);
+  material of the cluster trace, :mod:`repro.obs.export`);
   ``("ckpt", shard_id, {"final", "checkpoint"})`` room checkpoints at
   fill/phase barriers (``final=False``) and at drain-quiesce
   (``final=True`` — the exact snapshot a live migration restores);

@@ -33,7 +33,7 @@ import asyncio
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro import metrics
 from repro.obs import logging as obslog
@@ -337,23 +337,4 @@ class HttpGateway:
             doc, sort_keys=True).encode()
 
 
-def derive_members(scheme: str, seed: int, count: int,
-                   ) -> Tuple[List[object], object]:
-    """Enroll ``count`` members in a fresh seed-derived group — the same
-    derivation the ``repro join``/``repro load`` CLI paths use, so a
-    gateway and a direct client run produce comparable books."""
-    from repro.core.scheme1 import create_scheme1, scheme1_policy
-    from repro.core.scheme2 import create_scheme2, scheme2_policy
-    rng = random.Random(seed)
-    if scheme == "2":
-        framework = create_scheme2("gate-group", rng=rng)
-        policy = scheme2_policy()
-    else:
-        framework = create_scheme1("gate-group", rng=rng)
-        policy = scheme1_policy()
-    members = [framework.admit_member(f"user-{i}", rng)
-               for i in range(count)]
-    return members, policy
-
-
-__all__ = ["GatewayConfig", "HttpGateway", "derive_members"]
+__all__ = ["GatewayConfig", "HttpGateway"]

@@ -370,7 +370,7 @@ class Recorder:
 
     def drain_spans(self) -> List[object]:
         """Remove and return every finished span — the shipping half of
-        cross-process telemetry (:mod:`repro.obs.telemetry`): a shard's
+        cross-process traces (:mod:`repro.obs.export`): a shard's
         heartbeat loop drains its recorder and sends the batch over the
         supervision pipe, so the span store stays bounded however long
         the worker lives."""

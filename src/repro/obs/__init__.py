@@ -8,17 +8,19 @@ storage: counters, histograms and finished spans all live in the current
   threads and asyncio tasks (:mod:`repro.obs.spans`).  Spans are the one
   event model: a :func:`span` block also carries the counter book of the
   work done inside it (modexp, messages, bytes, hashes, …);
-* :func:`chrome_trace` / :func:`spans_jsonl` / :func:`render_gantt` —
-  Perfetto-loadable traces, JSONL span logs, and the ASCII timeline the
-  ``python -m repro trace`` CLI renders (:mod:`repro.obs.export`);
+* :func:`chrome_trace` / :func:`spans_jsonl` / :func:`render_gantt` /
+  :func:`load_spans_jsonl` — the one span exporter
+  (:mod:`repro.obs.export`): Perfetto-loadable traces, JSONL span logs
+  and the ASCII timeline ``python -m repro trace`` renders, each built
+  from per-process span sources (one for a single-process trace; client,
+  router and ``shard:<i>`` for a cluster);
 * :func:`get_logger` / :func:`log_event` / :func:`configure_logging` —
   JSON log lines with mandatory anonymity redaction
   (:mod:`repro.obs.logging`);
-* :func:`merge_chrome_trace` / :class:`TimeSeries` /
-  :class:`StatusSampler` / :func:`prometheus_exposition` — the
-  cross-process half: merged cluster traces from shipped span batches,
-  STATUS time series with derived rates, the ``repro top`` dashboard and
-  Prometheus text exposition (:mod:`repro.obs.telemetry`).
+* :class:`TimeSeries` / :class:`StatusSampler` /
+  :func:`prometheus_exposition` — STATUS time series with derived rates,
+  the ``repro top`` dashboard and Prometheus text exposition
+  (:mod:`repro.obs.telemetry`).
 
 Recording is gated by the metrics tracing switch: wrap work in
 ``with metrics.tracing():`` (or call ``metrics.enable_tracing()``) and
@@ -32,6 +34,7 @@ from repro.obs.export import (
     chrome_trace,
     export_chrome_trace,
     export_spans_jsonl,
+    load_spans_jsonl,
     render_gantt,
     spans_jsonl,
 )
@@ -57,11 +60,7 @@ from repro.obs.spans import (
 from repro.obs.telemetry import (
     StatusSampler,
     TimeSeries,
-    export_merged_trace,
-    load_spans_jsonl,
-    merge_chrome_trace,
     prometheus_exposition,
-    render_cluster_gantt,
     render_top,
     write_prometheus_sample,
 )
@@ -70,9 +69,8 @@ __all__ = [
     "Span", "NOOP_SPAN", "span", "start_span", "current_span",
     "finished_spans", "mint_trace_id", "valid_trace",
     "chrome_trace", "export_chrome_trace", "spans_jsonl",
-    "export_spans_jsonl", "render_gantt",
-    "merge_chrome_trace", "export_merged_trace", "load_spans_jsonl",
-    "render_cluster_gantt", "TimeSeries", "StatusSampler",
+    "export_spans_jsonl", "load_spans_jsonl", "render_gantt",
+    "TimeSeries", "StatusSampler",
     "prometheus_exposition", "write_prometheus_sample", "render_top",
     "JsonFormatter", "RedactionFilter", "get_logger", "log_event",
     "redact_fields", "configure_logging", "unconfigure_logging",

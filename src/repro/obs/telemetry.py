@@ -1,17 +1,9 @@
-"""Cluster-wide telemetry: merged traces, time series, Prometheus export.
+"""Cluster-wide telemetry: time series, dashboards, Prometheus export.
 
-PR 3's spans and STATUS stop at the process boundary; this module is the
-cross-process half (docs/OBSERVABILITY.md):
+Everything here is built on STATUS snapshots (docs/OBSERVABILITY.md);
+span traces, merged across processes or not, are written by
+:mod:`repro.obs.export`, the one span exporter.
 
-* **merged traces** — :func:`merge_chrome_trace` folds span batches from
-  many processes (load-driver clients, the router, every shard worker)
-  into one Perfetto-loadable Chrome ``trace_event`` document with one
-  lane per process.  Each source carries its recorder's ``epoch`` (a
-  ``time.perf_counter()`` instant — CLOCK_MONOTONIC on Linux, so epochs
-  from different processes on one machine share a clock) and all spans
-  are re-based onto the earliest epoch.  Spans of one room share one
-  ``trace_id`` across every lane — the trace-context propagated in the
-  HELLO frame (:mod:`repro.obs.spans`).
 * **time series** — :class:`TimeSeries` is a ring buffer of aggregated
   STATUS snapshots; :meth:`TimeSeries.rates` derives per-interval deltas
   (rooms/s, sheds/s per reason, retry rate, interval-exact relay
@@ -19,29 +11,24 @@ cross-process half (docs/OBSERVABILITY.md):
   a running relay on an interval and can write one Prometheus
   text-exposition file per sample.
 * **dashboards** — :func:`render_top` is the ``python -m repro top``
-  frame; :func:`render_cluster_gantt` the per-process ASCII timeline of
-  ``python -m repro trace --cluster``.
+  frame.
 
-Everything here consumes only what STATUS and span exports already
-honour: aggregates, random room tokens, roster indices — never member
-identifiers, payload bytes, or key material (the redaction leak-scan
-tests cover shipped span batches and Prometheus output too).
+STATUS carries aggregates only — never member identifiers, payload
+bytes, or key material (the redaction leak-scan tests cover Prometheus
+output too).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from collections import deque
-from types import SimpleNamespace
-from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Deque, Dict, List, Mapping, Optional
 
 from repro import metrics
-from repro.obs.export import _arg
-from repro.obs.spans import Span, mint_trace_id, valid_trace  # noqa: F401
-
-_PID = 1
+#: The one span exporter, under the name ``benchmarks/perf/tracer.py``
+#: imports.
+from repro.obs.export import export_chrome_trace as export_merged_trace
 
 #: Per-reason shed counters a time series tracks (superset of the load
 #: report's; unseen names simply stay at rate 0).
@@ -61,181 +48,6 @@ RETRY_COUNTERS = (
 )
 
 _RELAY_HISTOGRAM = "svc:relay-latency"
-
-
-# ---------------------------------------------------------------------------
-# Span normalization + merged Chrome traces.
-# ---------------------------------------------------------------------------
-
-
-def span_dicts(spans: Iterable[object]) -> List[dict]:
-    """Normalise a mixed batch (live :class:`Span` objects or already-
-    shipped ``as_dict`` rows) to plain dicts — the only form that crosses
-    a process boundary."""
-    out: List[dict] = []
-    for item in spans:
-        if isinstance(item, dict):
-            out.append(item)
-        elif isinstance(item, Span):
-            out.append(item.as_dict())
-    return out
-
-
-def _span_attrs(row: Mapping[str, object]) -> Dict[str, object]:
-    return {key[5:]: value for key, value in row.items()
-            if key.startswith("attr.")}
-
-
-def merge_chrome_trace(sources: Sequence[Mapping[str, object]],
-                       ) -> Dict[str, object]:
-    """Build one Chrome ``trace_event`` document from per-process span
-    batches.
-
-    Each source is ``{"label": str, "epoch": float | None,
-    "spans": [...]}`` (spans as dicts or live :class:`Span` objects).
-    Sources sharing a label share a lane; all timestamps are re-based
-    onto the earliest epoch so one room's client, router and shard spans
-    line up on a single axis.  ``trace_id`` rides along in every event's
-    args — Perfetto's search then selects a whole room across lanes."""
-    epochs = [s.get("epoch") for s in sources
-              if isinstance(s.get("epoch"), (int, float))]
-    t0 = min(epochs) if epochs else 0.0
-    lanes: Dict[str, int] = {}
-
-    def tid_for(label: str) -> int:
-        if label not in lanes:
-            lanes[label] = len(lanes) + 1
-        return lanes[label]
-
-    events: List[Dict[str, object]] = []
-    for source in sources:
-        label = str(source.get("label") or "?")
-        epoch = source.get("epoch")
-        base = (epoch - t0) if isinstance(epoch, (int, float)) else 0.0
-        for row in span_dicts(source.get("spans") or []):
-            dur = row.get("dur")
-            ts = row.get("ts")
-            if dur is None or not isinstance(ts, (int, float)):
-                continue
-            args = {str(k): _arg(v) for k, v in
-                    sorted(_span_attrs(row).items())}
-            if row.get("trace_id"):
-                args["trace_id"] = _arg(row["trace_id"])
-            events.append({
-                "ph": "X",
-                "name": str(row.get("name", "?")),
-                "cat": "span",
-                "ts": round((base + ts) * 1e6, 3),
-                "dur": round(float(dur) * 1e6, 3),
-                "pid": _PID,
-                "tid": tid_for(label),
-                "args": args,
-            })
-    events.sort(key=lambda e: e["ts"])
-    metadata: List[Dict[str, object]] = [{
-        "ph": "M", "name": "process_name", "pid": _PID, "tid": 0,
-        "args": {"name": "repro-cluster"},
-    }]
-    for label, tid in sorted(lanes.items(), key=lambda kv: kv[1]):
-        metadata.append({
-            "ph": "M", "name": "thread_name", "pid": _PID, "tid": tid,
-            "args": {"name": label},
-        })
-    return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
-
-
-def export_merged_trace(path: str,
-                        sources: Sequence[Mapping[str, object]]) -> None:
-    with open(path, "w") as handle:
-        json.dump(merge_chrome_trace(sources), handle,
-                  indent=None, separators=(",", ":"))
-        handle.write("\n")
-
-
-def load_spans_jsonl(path: str) -> List[object]:
-    """Read a span log written by ``export_spans_jsonl`` back into
-    Gantt-renderable span stand-ins.  Raises ``ValueError`` on an empty
-    file or malformed lines, ``OSError`` when the file is missing — the
-    CLI turns both into a one-line nonzero exit."""
-    rows: List[object] = []
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: not JSON ({exc})") from exc
-            if not isinstance(row, dict) or "name" not in row:
-                raise ValueError(f"line {lineno}: not a span record")
-            rows.append(_pseudo_span(row))
-    if not rows:
-        raise ValueError("no spans in file")
-    return rows
-
-
-def _pseudo_span(row: Mapping[str, object]) -> object:
-    """A dict span as the duck type ``render_gantt``/``_lane`` expect."""
-    ts = float(row.get("ts") or 0.0)
-    dur = row.get("dur")
-    dur = float(dur) if dur is not None else None
-    return SimpleNamespace(
-        name=str(row.get("name", "?")),
-        span_id=row.get("span_id"),
-        parent_id=row.get("parent_id"),
-        trace_id=row.get("trace_id"),
-        ts=ts, dur=dur,
-        ts_end=None if dur is None else ts + dur,
-        tid=str(row.get("tid", "?")),
-        attrs=_span_attrs(row))
-
-
-def render_cluster_gantt(sources: Sequence[Mapping[str, object]], *,
-                         width: int = 60,
-                         title: str = "cluster timeline") -> str:
-    """Per-process ASCII Gantt over merged sources: one lane per source
-    label, one shared time axis (epochs aligned as in
-    :func:`merge_chrome_trace`), trace id shown per span so cross-lane
-    membership is readable without Perfetto."""
-    epochs = [s.get("epoch") for s in sources
-              if isinstance(s.get("epoch"), (int, float))]
-    t0 = min(epochs) if epochs else 0.0
-    rows: List[tuple] = []
-    for source in sources:
-        label = str(source.get("label") or "?")
-        epoch = source.get("epoch")
-        base = (epoch - t0) if isinstance(epoch, (int, float)) else 0.0
-        for row in span_dicts(source.get("spans") or []):
-            if row.get("dur") is None:
-                continue
-            rows.append((label, str(row.get("name", "?")),
-                         base + float(row["ts"]), float(row["dur"]),
-                         str(row.get("trace_id") or "-")[:8]))
-    if not rows:
-        return f"{title}\n(no spans recorded — enable tracing first)"
-    start = min(r[2] for r in rows)
-    end = max(r[2] + r[3] for r in rows)
-    extent = max(end - start, 1e-9)
-    rows.sort(key=lambda r: (r[0], r[2]))
-    lane_w = max(len("lane"), max(len(r[0]) for r in rows))
-    name_w = max(len("span"), max(len(r[1]) for r in rows))
-    header = (f"{'lane'.ljust(lane_w)}  {'span'.ljust(name_w)}  trace     "
-              f"{'start(ms)':>9}  {'dur(ms)':>9}  "
-              f"|0 {'-' * max(0, width - 14)} {extent * 1e3:.1f}ms|")
-    lines = [title, "=" * len(title), header]
-    last_lane = None
-    for lane, name, ts, dur, trace in rows:
-        left = int((ts - start) / extent * width)
-        length = max(1, round(dur / extent * width))
-        length = min(length, width - left) or 1
-        bar = (" " * left + "#" * length).ljust(width)
-        shown = lane if lane != last_lane else ""
-        last_lane = lane
-        lines.append(f"{shown.ljust(lane_w)}  {name.ljust(name_w)}  "
-                     f"{trace:<8}  {(ts - start) * 1e3:9.3f}  "
-                     f"{dur * 1e3:9.3f}  |{bar}|")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -592,11 +404,8 @@ def render_top(series: TimeSeries, *, rows: int = 12,
 
 
 __all__ = [
-    "SHED_COUNTERS", "RETRY_COUNTERS",
-    "span_dicts", "merge_chrome_trace", "export_merged_trace",
-    "load_spans_jsonl", "render_cluster_gantt",
+    "SHED_COUNTERS", "RETRY_COUNTERS", "export_merged_trace",
     "TimeSeries", "StatusSampler",
     "prometheus_exposition", "write_prometheus_sample",
     "render_top",
-    "mint_trace_id", "valid_trace",
 ]

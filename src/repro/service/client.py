@@ -218,9 +218,10 @@ async def join_room(member, config: ClientConfig,
     """Run one participant through a complete rendezvous handshake.
 
     Always returns a :class:`HandshakeOutcome`; transport failures, room
-    aborts and the overall deadline all surface as ``success=False``
-    outcomes (``index`` is ``-1`` if the failure precedes index
-    assignment).  Only programming errors escape as exceptions.
+    aborts, a relay that breaks protocol and the overall deadline all
+    surface as ``success=False`` outcomes (``index`` is ``-1`` if the
+    failure precedes index assignment).  Only programming errors escape
+    as exceptions.
     ``joined`` (if given) is set once the server has assigned an index —
     :func:`run_room` uses it to make join order deterministic.
 
@@ -252,6 +253,11 @@ async def join_room(member, config: ClientConfig,
             EncodingError, asyncio.IncompleteReadError):
         metrics.bump("svc-client:transport-failures")
         state["retryable"] = True
+    except ProtocolError:
+        # The relay sent a frame the protocol does not allow there: a
+        # verdict on this relay, so retrying it would not help.
+        metrics.bump("svc-client:protocol-errors")
+        state["retryable"] = False
     return HandshakeOutcome(index=state["index"], success=False,
                             retryable=state["retryable"])
 

@@ -25,6 +25,7 @@ from repro import metrics
 from repro.cluster import ClusterConfig, ClusterRouter
 from repro.cluster.placement import HashRing
 from repro.core.scheme1 import scheme1_policy
+from repro.obs import export
 from repro.obs import spans as obs
 from repro.obs import telemetry
 from repro.service import ClientConfig, join_room, query_status
@@ -149,7 +150,7 @@ class TestTraceContinuity:
              "spans": batch.get("spans") or []}
             for sid, batch in sorted(failover_world["shipped"].items())
         ]
-        doc = telemetry.merge_chrome_trace(sources)
+        doc = export.chrome_trace(sources)
         lanes = {e["args"]["name"] for e in doc["traceEvents"]
                  if e["ph"] == "M" and e["name"] == "thread_name"}
         assert "client" in lanes and "shard:1" in lanes

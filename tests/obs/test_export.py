@@ -26,7 +26,7 @@ class TestChromeTrace:
     def test_document_structure(self):
         rec, spans = _spans_fixture()
         with metrics.using(rec):
-            doc = obsx.chrome_trace(spans)
+            doc = obsx.chrome_trace([{"spans": spans}])
         assert set(doc) == {"traceEvents", "displayTimeUnit"}
         events = doc["traceEvents"]
         meta = [e for e in events if e["ph"] == "M"]
@@ -41,7 +41,7 @@ class TestChromeTrace:
     def test_lanes_from_party_and_token(self):
         rec, spans = _spans_fixture()
         with metrics.using(rec):
-            doc = obsx.chrome_trace(spans)
+            doc = obsx.chrome_trace([{"spans": spans}])
         thread_names = {e["args"]["name"] for e in doc["traceEvents"]
                         if e["name"] == "thread_name"}
         assert "hs:0" in thread_names
@@ -50,7 +50,7 @@ class TestChromeTrace:
     def test_child_span_inherits_parent_lane(self):
         rec, spans = _spans_fixture()
         with metrics.using(rec):
-            doc = obsx.chrome_trace(spans)
+            doc = obsx.chrome_trace([{"spans": spans}])
         lanes = {e["tid"]: e["args"]["name"] for e in doc["traceEvents"]
                  if e["name"] == "thread_name"}
         by_name = {e["name"]: e for e in doc["traceEvents"]
@@ -75,7 +75,7 @@ class TestChromeTrace:
         rec, spans = _spans_fixture()
         path = tmp_path / "trace.json"
         with metrics.using(rec):
-            obsx.export_chrome_trace(str(path), spans)
+            obsx.export_chrome_trace(str(path), [{"spans": spans}])
         loaded = json.loads(path.read_text())
         assert loaded["traceEvents"]
 
@@ -94,7 +94,8 @@ class TestChromeTrace:
         # Only spans are exported: one event, category "span".
         assert [(e["name"], e["cat"]) for e in xs] == [("work", "span")]
         assert xs[0]["args"] == {"party": 0, "modexp": 2,
-                                 "messages_sent": 1, "bytes_sent": 17}
+                                 "messages_sent": 1, "bytes_sent": 17,
+                                 "trace_id": rec.spans()[0].trace_id}
         row = json.loads(lines[0])
         assert (row["attr.modexp"], row["attr.messages_sent"],
                 row["attr.bytes_sent"]) == (2, 1, 17)
@@ -105,7 +106,7 @@ class TestChromeTrace:
 class TestJsonl:
     def test_one_parseable_line_per_span(self):
         rec, spans = _spans_fixture()
-        lines = obsx.spans_jsonl(spans).splitlines()
+        lines = obsx.spans_jsonl([{"spans": spans}]).splitlines()
         assert len(lines) == len(spans)
         docs = [json.loads(line) for line in lines]
         assert {"name", "span_id", "parent_id", "ts", "dur", "tid"} <= set(docs[0])
@@ -116,14 +117,15 @@ class TestJsonl:
     def test_file_export(self, tmp_path):
         rec, spans = _spans_fixture()
         path = tmp_path / "spans.jsonl"
-        obsx.export_spans_jsonl(str(path), spans)
+        obsx.export_spans_jsonl(str(path), [{"spans": spans}])
         assert len(path.read_text().splitlines()) == len(spans)
 
 
 class TestGantt:
     def test_renders_lanes_bars_and_title(self):
         rec, spans = _spans_fixture()
-        out = obsx.render_gantt(spans, width=40, title="golden timeline")
+        out = obsx.render_gantt([{"spans": spans}], width=40,
+                                title="golden timeline")
         assert out.startswith("golden timeline")
         assert "hs:0" in out
         assert "room:cafe1234" in out

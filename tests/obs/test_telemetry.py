@@ -1,5 +1,7 @@
-"""Tests for ``repro.obs.telemetry``: merged cluster traces, STATUS time
-series with derived rates, Prometheus exposition, and the dashboards."""
+"""Tests for ``repro.obs.telemetry`` (STATUS time series with derived
+rates, Prometheus exposition, the dashboards) and for the multi-source
+half of ``repro.obs.export``: merged cluster traces, span-log reload and
+the per-process Gantt."""
 
 import json
 
@@ -103,7 +105,7 @@ class TestMergeChromeTrace:
         _, a = _finished_spans()
         _, b = _finished_spans()
         _, c = _finished_spans()
-        doc = telemetry.merge_chrome_trace([
+        doc = obsx.chrome_trace([
             {"label": "client", "epoch": 10.0, "spans": a},
             {"label": "client", "epoch": 11.0, "spans": b},
             {"label": "shard:0", "epoch": 10.5, "spans": c},
@@ -118,7 +120,7 @@ class TestMergeChromeTrace:
     def test_epoch_rebasing_onto_earliest(self):
         rec_a, spans_a = _finished_spans(names=("a",))
         rec_b, spans_b = _finished_spans(names=("b",))
-        doc = telemetry.merge_chrome_trace([
+        doc = obsx.chrome_trace([
             {"label": "early", "epoch": 100.0, "spans": spans_a},
             {"label": "late", "epoch": 100.5, "spans": spans_b},
         ])
@@ -133,7 +135,7 @@ class TestMergeChromeTrace:
     def test_trace_id_rides_in_args(self):
         trace = "beef" * 4
         _, spans = _finished_spans(trace=trace)
-        doc = telemetry.merge_chrome_trace(
+        doc = obsx.chrome_trace(
             [{"label": "client", "epoch": 0.0, "spans": spans}])
         xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert all(e["args"]["trace_id"] == trace for e in xs)
@@ -141,7 +143,7 @@ class TestMergeChromeTrace:
     def test_unfinished_spans_skipped(self):
         row = {"name": "open", "span_id": 1, "parent_id": None,
                "trace_id": None, "ts": 0.0, "dur": None, "tid": "t"}
-        doc = telemetry.merge_chrome_trace(
+        doc = obsx.chrome_trace(
             [{"label": "x", "epoch": 0.0, "spans": [row]}])
         assert [e for e in doc["traceEvents"] if e["ph"] == "X"] == []
 
@@ -150,7 +152,7 @@ class TestMergeChromeTrace:
         rec.tracing = True
         with metrics.using(rec):
             obs.start_span("leaky", parent=None, blob=b"\x00", m=3).end()
-        doc = telemetry.merge_chrome_trace(
+        doc = obsx.chrome_trace(
             [{"label": "x", "epoch": 0.0, "spans": rec.drain_spans()}])
         args = [e for e in doc["traceEvents"] if e["ph"] == "X"][0]["args"]
         assert args["blob"] == "<bytes>"
@@ -176,37 +178,39 @@ class TestLoadSpansJsonl:
                     pass
             spans = rec.drain_spans()
         path = tmp_path / "spans.jsonl"
-        obsx.export_spans_jsonl(str(path), spans)
-        loaded = telemetry.load_spans_jsonl(str(path))
-        assert {s.name for s in loaded} == {"hs:0", "gsig:sign"}
-        by_name = {s.name: s for s in loaded}
-        assert by_name["gsig:sign"].parent_id == by_name["hs:0"].span_id
-        assert by_name["hs:0"].attrs == {"party": 0}
+        obsx.export_spans_jsonl(str(path), [{"spans": spans}])
+        loaded = obsx.load_spans_jsonl(str(path))
+        rows = [row for source in loaded for row in source["spans"]]
+        assert {row["name"] for row in rows} == {"hs:0", "gsig:sign"}
+        by_name = {row["name"]: row for row in rows}
+        assert by_name["gsig:sign"]["parent_id"] == by_name["hs:0"]["span_id"]
+        assert {k: v for k, v in by_name["hs:0"].items()
+                if k.startswith("attr.")} == {"attr.party": 0}
         # Loaded spans render through the same Gantt as live ones.
         out = obsx.render_gantt(loaded, width=30)
         assert "hs:0" in out and "#" in out
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            telemetry.load_spans_jsonl(str(tmp_path / "nope.jsonl"))
+            obsx.load_spans_jsonl(str(tmp_path / "nope.jsonl"))
 
     def test_empty_file_raises_valueerror(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         with pytest.raises(ValueError, match="no spans"):
-            telemetry.load_spans_jsonl(str(path))
+            obsx.load_spans_jsonl(str(path))
 
     def test_malformed_line_raises_with_lineno(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"name": "ok", "ts": 0, "dur": 1}\nnot json\n')
         with pytest.raises(ValueError, match="line 2"):
-            telemetry.load_spans_jsonl(str(path))
+            obsx.load_spans_jsonl(str(path))
 
     def test_non_span_record_rejected(self, tmp_path):
         path = tmp_path / "odd.jsonl"
         path.write_text('{"rooms": 3}\n')
         with pytest.raises(ValueError, match="not a span record"):
-            telemetry.load_spans_jsonl(str(path))
+            obsx.load_spans_jsonl(str(path))
 
 
 class TestClusterGantt:
@@ -214,7 +218,7 @@ class TestClusterGantt:
         trace = "dead" * 4
         _, client = _finished_spans(trace=trace, names=("handshake",))
         _, shard = _finished_spans(trace=trace, names=("room",))
-        out = telemetry.render_cluster_gantt([
+        out = obsx.render_gantt([
             {"label": "client", "epoch": 1.0, "spans": client},
             {"label": "shard:0", "epoch": 1.0, "spans": shard},
         ], width=30)
@@ -223,7 +227,7 @@ class TestClusterGantt:
         assert "#" in out
 
     def test_empty_sources_message(self):
-        out = telemetry.render_cluster_gantt([], title="empty")
+        out = obsx.render_gantt([], title="empty")
         assert "no spans recorded" in out
 
 

@@ -165,6 +165,55 @@ class TestTrace:
         assert len(jsonl_path.read_text().splitlines()) > 0
 
 
+def _gantt_rows(text):
+    """(lane, span, start ms) of every Gantt row, the lane filled down."""
+    lines = text.splitlines()
+    header = next(i for i, line in enumerate(lines)
+                  if line.startswith("lane "))
+    rows, lane = [], None
+    for line in lines[header + 1:]:
+        if not line.endswith("|"):
+            break
+        fields = line.split("|")[0].split()
+        if len(fields) == 5:
+            lane = fields.pop(0)
+        name, _trace, start, _dur = fields
+        rows.append((lane, name, start))
+    return rows
+
+
+class TestTraceCluster:
+    def test_lanes_and_span_log_rerender(self, tmp_path, capsys):
+        """One m=2 room through a self-hosted 2-shard cluster: client,
+        router and shard lanes, and ``trace --in`` on the span log prints
+        every span at the start offset the live run printed."""
+        import json
+        out_path = tmp_path / "trace.json"
+        jsonl_path = tmp_path / "spans.jsonl"
+        code = cli.main(["trace", "--transport", "cluster", "-m", "2",
+                         "--shards", "2", "--seed", "11",
+                         "--out", str(out_path), "--jsonl", str(jsonl_path)])
+        assert code == 0
+        live = capsys.readouterr().out
+        doc = json.loads(out_path.read_text())
+        lanes = {e["tid"]: e["args"]["name"] for e in doc["traceEvents"]
+                 if e["ph"] == "M" and e["name"] == "thread_name"}
+        names = {}
+        for e in doc["traceEvents"]:
+            if e["ph"] == "X":
+                names.setdefault(lanes[e["tid"]], set()).add(e["name"])
+        shards = {lane for lane in names if lane.startswith("shard:")}
+        assert shards and set(names) == {"client", "router"} | shards
+        assert names["router"] == {"place"}
+        for lane in shards:
+            assert all(name.startswith("room") for name in names[lane])
+
+        assert cli.main(["trace", "--in", str(jsonl_path)]) == 0
+        rerendered = _gantt_rows(capsys.readouterr().out)
+        assert len(rerendered) == len(jsonl_path.read_text().splitlines())
+        assert rerendered == _gantt_rows(live)
+
+
 def _rendezvous_server():
     from repro.service import RendezvousServer, ServerConfig
     return RendezvousServer(ServerConfig())

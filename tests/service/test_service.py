@@ -17,7 +17,9 @@ from repro.service import (
     ClientConfig,
     RendezvousServer,
     ServerConfig,
+    framing,
     join_room,
+    protocol,
     query_status,
     run_room,
 )
@@ -240,6 +242,43 @@ class TestRobustness:
         assert not outcome.success and outcome.index == -1
         assert snap["total"].extra["svc-client:retries"] == 2
         assert snap["total"].extra["svc-client:transport-failures"] == 1
+
+    def test_relay_breaking_protocol_is_a_failed_outcome(self,
+                                                         scheme1_world):
+        """A fake relay sends a second WELCOME after ROOM_READY: the client
+        returns a failed, non-retryable outcome instead of raising
+        ``ProtocolError``."""
+        member = _lineup(scheme1_world, 1)[0]
+
+        async def fake_relay(reader, writer):
+            await framing.read_frame(reader)             # the HELLO
+            for message in (protocol.Welcome("bent", 0, 2),
+                            protocol.RoomReady("bent", "ab" * 8, 2),
+                            protocol.Welcome("bent", 0, 2)):
+                await framing.write_frame(writer,
+                                          protocol.encode_message(message))
+            await reader.read()             # until the client hangs up
+            writer.close()
+
+        async def scenario():
+            relay = await asyncio.start_server(fake_relay, "127.0.0.1", 0)
+            port = relay.sockets[0].getsockname()[1]
+            recorder = metrics.Recorder()
+            try:
+                with metrics.using(recorder):
+                    outcome = await join_room(
+                        member, ClientConfig(port=port, room="bent", m=2,
+                                             deadline=10.0),
+                        scheme1_policy())
+            finally:
+                relay.close()
+                await relay.wait_closed()
+            return outcome, recorder.snapshot()
+
+        outcome, snap = _run(scenario())
+        assert not outcome.success and not outcome.retryable
+        assert outcome.index == 0
+        assert snap["total"].extra["svc-client:protocol-errors"] == 1
 
     def test_shutdown_aborts_filling_room(self, scheme1_world):
         member = _lineup(scheme1_world, 1)[0]
