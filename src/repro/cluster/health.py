@@ -29,9 +29,6 @@ from typing import Dict, List, Optional
 
 from repro import metrics
 from repro.cluster.shard import ShardSpec, shard_main
-from repro.obs import logging as obslog
-
-_log = obslog.get_logger("repro.cluster.health")
 
 STARTING = "starting"
 UP = "up"
@@ -175,7 +172,6 @@ class HealthMonitor:
             if handle.state == STARTING:
                 handle.state = UP
             metrics.bump("svc-cluster:shards-up")
-            obslog.log_event(_log, "shard-up", shard=handle.shard_id)
             handle.up_event.set()
         elif kind == "hb":
             handle.last_status = message[2]
@@ -207,7 +203,6 @@ class HealthMonitor:
         elif kind == "draining":
             if handle.state != DEAD:
                 handle.state = DRAINING
-            obslog.log_event(_log, "shard-draining", shard=handle.shard_id)
         elif kind == "down":
             self.mark_dead(handle, why="clean-exit")
 
@@ -216,8 +211,7 @@ class HealthMonitor:
             return
         handle.state = DEAD
         metrics.bump("svc-cluster:shard-deaths")
-        obslog.log_event(_log, "shard-dead", shard=handle.shard_id,
-                         cause=why)
+        metrics.bump(f"svc-cluster:shard-death:{why}")
         if self._loop is not None and handle.conn is not None:
             try:
                 self._loop.remove_reader(handle.conn.fileno())

@@ -28,13 +28,14 @@ Failure semantics (why clients never hang):
   supervision-pipe EOF removes it from placement on the same loop tick,
   so the retry lands on a surviving shard;
 * drain (:meth:`ClusterRouter.drain_shard`) is a **live migration**, not
-  a shed: the router pauses each member pump at a frame boundary and
-  injects QUIESCE; the shard finishes its FIFO, ships an exact final
-  checkpoint up the supervision pipe, and closes the room with outcome
-  ``migrated``; the router restores the checkpoint on the ring's
-  next-preferred live shard, re-splices every member with an ATTACH, and
-  tells each client with a single MIGRATED frame.  No re-HELLO, no
-  Phase I–III crypto re-run, zero client retries.  If any step times out
+  a shed: the router writes QUIESCE on each member's shard stream at a
+  frame boundary and holds its up pump; the shard finishes its FIFO,
+  ships an exact final checkpoint up the supervision pipe, and closes
+  the room with outcome ``migrated``; the router restores the
+  checkpoint on the ring's next-preferred live shard, re-splices every
+  member with an ATTACH, and tells each client with a single MIGRATED
+  frame.  No re-HELLO, no Phase I–III crypto re-run, zero client
+  retries.  If any step times out
   the router falls back to the legacy shed path
   (:meth:`repro.cluster.health.HealthMonitor.drain`): unfilled rooms
   abort retryably and rejoins re-enter the router.  Docs:
@@ -62,17 +63,14 @@ from repro.cluster.health import DEAD, UP, HealthMonitor, ShardHandle
 from repro.cluster.placement import HashRing
 from repro.cluster.shard import ShardSpec
 from repro.errors import EncodingError, FrameError, ProtocolError
-from repro.obs import logging as obslog
 from repro.obs import spans as obs
 from repro.service import framing, protocol
 
-_log = obslog.get_logger("repro.cluster.router")
-
-#: Pre-encoded QUIESCE sentinel the up pump injects at a frame boundary.
+#: Pre-encoded QUIESCE sentinel a migration writes at a frame boundary.
 _QUIESCE_FRAME = framing.encode_frame(
     protocol.encode_message(protocol.Quiesce()))
 
-#: Orchestration poll tick (quiesce/checkpoint waits), seconds.
+#: Orchestration poll tick (checkpoint waits), seconds.
 _MIGRATE_TICK = 0.01
 
 
@@ -127,10 +125,11 @@ class _Splice:
 
     Migration choreography (driven by :meth:`ClusterRouter.drain_shard`):
 
-    1. ``begin_migration()`` — the up pump stops at its next frame
-       boundary, injects one QUIESCE frame toward the shard and reports
-       ``quiesced``; nothing from the client is ever dropped — a
-       partially-read frame simply waits for the new shard.
+    1. ``begin_migration()`` — writes one QUIESCE frame toward the shard.
+       The up pump forwards each frame with a single ``write()``, so the
+       QUIESCE lands on a frame boundary; a client frame read from then
+       on waits for the release and goes to whichever shard is bound —
+       nothing from the client is ever dropped.
     2. The shard ships the room's final checkpoint and closes; the down
        pump absorbs that EOF instead of passing it to the client.
     3. ``resplice(target, token)`` — dial the target shard, send
@@ -157,8 +156,6 @@ class _Splice:
         self.client_gone = False            # client EOF'd / vanished
         self.closed = False                 # both pumps finished
         self.migrating = False
-        self.quiesced = False
-        self._mig_request = asyncio.Event()
         self._mig_resumed = asyncio.Event()
         self._down_eof = asyncio.Event()
         self._respliced = asyncio.Event()
@@ -178,36 +175,19 @@ class _Splice:
     # Pumps ------------------------------------------------------------------
 
     async def _pump_up(self) -> None:
-        """client -> shard.  Keeps one persistent read task so a pause
-        never splits a frame; a frame read *during* a migration is simply
-        forwarded to the new shard after the re-splice."""
+        """client -> shard: read a frame, write it, drain.  A frame read
+        *during* a migration waits for the release, then goes to the
+        shard bound at that moment (the target after a re-splice)."""
         max_frame = self.router.config.max_frame
-        read_task: Optional[asyncio.Task] = None
         try:
             while True:
-                if read_task is None:
-                    read_task = asyncio.ensure_future(
-                        framing.read_frame(self.client_reader, max_frame))
-                request = self._mig_request
-                if request.is_set():
-                    resumed = self._mig_resumed
-                    # Frame boundary: nothing partial has been forwarded.
-                    self.shard_writer.write(_QUIESCE_FRAME)
-                    await self.shard_writer.drain()
-                    self.quiesced = True
-                    await resumed.wait()
-                    continue
-                request_task = asyncio.ensure_future(request.wait())
-                await asyncio.wait({read_task, request_task},
-                                   return_when=asyncio.FIRST_COMPLETED)
-                request_task.cancel()
-                if not read_task.done():
-                    continue     # migration requested: handle at loop top
-                payload = read_task.result()
-                read_task = None
+                payload = await framing.read_frame(self.client_reader,
+                                                   max_frame)
                 if payload is None:
                     self.client_gone = True
                     return
+                while self.migrating:
+                    await self._mig_resumed.wait()
                 self.shard_writer.write(framing.encode_frame(payload))
                 await self.shard_writer.drain()
         except (ConnectionError, OSError, FrameError,
@@ -216,8 +196,6 @@ class _Splice:
         except asyncio.CancelledError:
             pass
         finally:
-            if read_task is not None:
-                read_task.cancel()
             # Half-close toward the shard so in-flight frames the other
             # way still deliver (DONE then EOF must not cut a DELIVER).
             try:
@@ -282,9 +260,14 @@ class _Splice:
     # Migration hooks --------------------------------------------------------
 
     def begin_migration(self) -> None:
+        """Hold the up pump and write QUIESCE toward the shard.  No await
+        separates a forwarded frame's read from its one ``write()``, so
+        this write can only fall between two whole frames."""
         self.migrating = True
-        self.quiesced = False
-        self._mig_request.set()
+        try:
+            self.shard_writer.write(_QUIESCE_FRAME)
+        except (OSError, RuntimeError):
+            pass      # the shard side is gone: its EOF ends the pumps
 
     async def resplice(self, handle: ShardHandle, token: str,
                        timeout: float) -> None:
@@ -318,10 +301,8 @@ class _Splice:
 
     def _release(self) -> None:
         self.migrating = False
-        self.quiesced = False
         resumed, respliced = self._mig_resumed, self._respliced
         # Fresh events for any future migration before waking the pumps.
-        self._mig_request = asyncio.Event()
         self._mig_resumed = asyncio.Event()
         self._down_eof = asyncio.Event()
         self._respliced = asyncio.Event()
@@ -392,8 +373,6 @@ class ClusterRouter:
         self._sweep_task = asyncio.ensure_future(self._sweep_loop())
         self._accepting = True
         self._started = time.perf_counter()
-        obslog.log_event(_log, "router-start", port=self.port,
-                         shards=self.config.shards)
         return self
 
     async def __aenter__(self) -> "ClusterRouter":
@@ -462,8 +441,6 @@ class ClusterRouter:
         groups: Dict[str, List[_Splice]] = {}
         for splice in splices:
             groups.setdefault(splice.room, []).append(splice)
-        obslog.log_event(_log, "drain-migration-start", shard=shard_id,
-                         rooms=len(groups), members=len(splices))
         gates: Dict[str, asyncio.Event] = {}
         for name in groups:
             gate = asyncio.Event()
@@ -473,13 +450,7 @@ class ClusterRouter:
         try:
             for splice in splices:
                 splice.begin_migration()
-            # Phase 1: every live member quiesced (or gone on its own).
-            while loop.time() < deadline:
-                if all(s.quiesced or s.closed or s.client_gone
-                       for s in splices):
-                    break
-                await asyncio.sleep(_MIGRATE_TICK)
-            # Phase 2: a final checkpoint (or natural completion) per room.
+            # A final checkpoint (or natural completion) per room.
             while loop.time() < deadline:
                 pending = [
                     name for name, members in groups.items()
@@ -488,7 +459,7 @@ class ClusterRouter:
                 if not pending:
                     break
                 await asyncio.sleep(_MIGRATE_TICK)
-            # Phase 3: restore + re-splice, room by room.
+            # Restore + re-splice, room by room.
             for name, members in groups.items():
                 payload = self._checkpoint_for(handle, name, members)
                 if payload is None:
@@ -509,8 +480,6 @@ class ClusterRouter:
             # The donor is empty (or past saving): the classic drain
             # command stops its accept loop and exits the worker.
             self.monitor.drain(shard_id)
-        obslog.log_event(_log, "drain-migration-done", shard=shard_id,
-                         **report)
         return report
 
     def _checkpoint_for(self, handle: ShardHandle, name: str,
@@ -541,17 +510,20 @@ class ClusterRouter:
         target_id = self.ring.place(name, only=live)
         if target_id is None:
             metrics.bump("svc-cluster:migrate-failures")
-            obslog.log_event(_log, "migrate-no-target",
-                             source=donor.shard_id)
+            metrics.bump("svc-cluster:migrate-failures:no-target")
             return False
         target = self.monitor.handles[target_id]
         started = loop.time()
         ack = await self.monitor.restore_room(
             target_id, payload, timeout=max(deadline - loop.time(), 0.1))
         if not ack.get("ok"):
+            # The ack's own error text may be a shard-side exception
+            # message: only the two fixed causes become a counter name.
+            error = ack.get("error")
+            kind = (f"restore-{error}" if error in ("shard-dead", "timeout")
+                    else "restore-refused")
             metrics.bump("svc-cluster:migrate-failures")
-            obslog.log_event(_log, "migrate-restore-failed",
-                             target=target_id, error=str(ack.get("error")))
+            metrics.bump(f"svc-cluster:migrate-failures:{kind}")
             return False
         for splice in members:
             if splice.closed or splice.client_gone:
@@ -567,8 +539,6 @@ class ClusterRouter:
             metrics.bump("svc-cluster:migrations")
         metrics.observe("svc-cluster:restore-latency",
                         loop.time() - started)
-        obslog.log_event(_log, "room-migrated", token=token,
-                         source=donor.shard_id, target=target_id)
         return True
 
     async def _sweep_loop(self) -> None:
@@ -663,7 +633,6 @@ class ClusterRouter:
                 metrics.bump("svc-cluster:no-live-shards")
                 metrics.bump("svc-cluster:busy-sheds")
                 metrics.bump("svc-cluster:busy:no-live-shards")
-                obslog.log_event(_log, "no-live-shards")
                 await self._best_effort(
                     writer, protocol.Busy(reason="no-live-shards"))
                 return
@@ -696,8 +665,6 @@ class ClusterRouter:
                        trace=obs.valid_trace(hello.trace),
                        shard=shard_id,
                        replaced=shard_id != preferred).end()
-        obslog.log_event(_log, "placed", shard=shard_id,
-                         replaced=shard_id != preferred)
         splice = _Splice(self, hello.room, reader, writer)
         splice.bind(shard_id, shard_reader, shard_writer)
         self._splice_objs.add(splice)

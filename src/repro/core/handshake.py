@@ -395,6 +395,11 @@ def _frame_phase(payload: object) -> Optional[str]:
     return None
 
 
+def _is_index(value: object, bound: int) -> bool:
+    """``value`` is an int (not a bool) in ``[0, bound)``."""
+    return type(value) is int and 0 <= value < bound
+
+
 @dataclass(frozen=True)
 class SessionPlan:
     """Public session parameters every device agrees on up front: the
@@ -475,12 +480,15 @@ class HandshakeDevice(Party):
         self.on_message(message)
 
     def on_message(self, message: Message) -> None:
+        """Absorb one peer frame.  Peer payloads are outside input: one
+        that fails :meth:`_well_formed` is dropped and counted as
+        ``hs:malformed-frames``, so a hostile peer can fail the room
+        (Phases II–III catch what it sends) but never crash the device."""
         payload = message.payload
-        if not isinstance(payload, tuple) or len(payload) < 2:
+        if not self._well_formed(payload):
+            metrics.bump("hs:malformed-frames")
             return
-        kind, session_id = payload[0], payload[1]
-        if session_id != self.plan.session_id:
-            return
+        kind = payload[0]
         if kind == "dgka":
             _, _, round_no, sender, body = payload
             self._round_buffers.setdefault(round_no, {})[sender] = body
@@ -492,10 +500,30 @@ class HandshakeDevice(Party):
         elif kind == "phase3":
             _, _, sender, theta, delta = payload
             self._entries.setdefault(
-                sender, HandshakeEntry(index=sender, theta=theta,
-                                       delta=tuple(delta))
-            )
+                sender, HandshakeEntry(index=sender, theta=theta, delta=delta))
             self._maybe_conclude()
+
+    def _well_formed(self, payload: object) -> bool:
+        """The one payload check: kind and session match, round and sender
+        are ints in range, tag and theta are bytes, delta is four ints.
+        A DGKA body is the DGKA's to judge."""
+        if not (isinstance(payload, tuple) and len(payload) >= 2
+                and payload[1] == self.plan.session_id):
+            return False
+        kind, fields, m = payload[0], payload[2:], self.plan.m
+        if kind == "dgka":
+            return (len(fields) == 3
+                    and _is_index(fields[0], self.dgka.rounds)
+                    and _is_index(fields[1], m))
+        if kind == "tag":
+            return (len(fields) == 2 and _is_index(fields[0], m)
+                    and isinstance(fields[1], bytes))
+        if kind == "phase3":
+            return (len(fields) == 3 and _is_index(fields[0], m)
+                    and isinstance(fields[1], bytes)
+                    and isinstance(fields[2], tuple) and len(fields[2]) == 4
+                    and all(type(x) is int for x in fields[2]))
+        return False
 
     @contextlib.contextmanager
     def _step(self, phase: str, name: str, **attrs: object) -> Iterator[None]:

@@ -36,12 +36,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro import metrics
-from repro.obs import logging as obslog
 from repro.obs import telemetry
 from repro.service import query_status
 from repro.service.client import ClientConfig
-
-_log = obslog.get_logger("repro.gate.http")
 
 #: Request line + headers must fit in this many bytes.
 _MAX_HEAD = 16 * 1024
@@ -118,9 +115,6 @@ class HttpGateway:
     async def start(self) -> "HttpGateway":
         self._server = await asyncio.start_server(
             self._handle, self.config.host, self.config.port)
-        obslog.log_event(_log, "gateway-start", port=self.port,
-                         target=self.config.target_port,
-                         pool=len(self.members))
         return self
 
     async def __aenter__(self) -> "HttpGateway":
@@ -305,14 +299,10 @@ class HttpGateway:
             metrics.bump("gate:room-errors")
             entry.state = "failed"
             entry.result = {"error": f"{type(exc).__name__}: {exc}"}
-            obslog.log_event(_log, "gate-room-error", room=entry.name,
-                             error=str(exc))
             return
         else:
             entry.state = result.outcome
             entry.result = result.as_dict()
-            obslog.log_event(_log, "gate-room-done", room=entry.name,
-                             outcome=result.outcome)
         finally:
             self._retire(entry)
 

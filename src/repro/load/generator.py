@@ -37,12 +37,9 @@ from repro import metrics
 from repro.core.handshake import HandshakePolicy
 from repro.load.arrivals import ArrivalProcess, RoomMix, make_process
 from repro.load.model import HandshakeModel
-from repro.obs import logging as obslog
 from repro.obs import spans as obs
 from repro.service import framing
 from repro.service.client import ClientConfig, join_room
-
-_log = obslog.get_logger("repro.load.generator")
 
 
 @dataclass
@@ -279,8 +276,6 @@ async def run_open_loop(config: LoadConfig, members: Sequence[object],
             members[:m], room_cfg, policy, room_rngs, epoch=epoch,
             arrival_s=arrival_s, model=model)))
         arrivals += 1
-    obslog.log_event(_log, "arrivals-done", arrivals=arrivals,
-                     duration_s=config.duration)
 
     # Open-loop ends here; what remains is bounded draining.  Every room
     # task self-terminates (the client deadline is the backstop), so the

@@ -36,20 +36,13 @@ message counts carry **zero** tolerance: one modexp of drift fails the
 run, because a drifting count means the instrumentation or the protocol
 changed — the same contract as CI's E1 drift guard.
 
-Backends: expressions are built with :mod:`sympy` when it is importable
-(pretty symbolic output, ``subs``-based evaluation) and fall back to a
-small pure-Python polynomial type with the same surface otherwise — the
-model never requires an install.
+Expressions are :class:`_Poly` values, a small integer polynomial type in
+``m`` that prints in the usual symbolic form (``24*m + 10``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
-
-try:                                    # optional extra, never required
-    import sympy as _sympy
-except Exception:                       # pragma: no cover - env dependent
-    _sympy = None
+from typing import Dict, List, Mapping, Optional
 
 #: Relative tolerance for wire-byte predictions (see module docstring).
 BYTES_TOLERANCE = 0.05
@@ -70,9 +63,8 @@ DELIVER_OVERHEAD = 8
 
 
 class _Poly:
-    """Minimal univariate integer polynomial in ``m`` — the pure-Python
-    stand-in for a sympy expression (supports +, *, int evaluation and a
-    sympy-style string form)."""
+    """Minimal univariate integer polynomial in ``m``: +, -, *, integer
+    evaluation and the usual symbolic string form."""
 
     __slots__ = ("coeffs",)
 
@@ -133,26 +125,6 @@ class _Poly:
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
-def _symbol_m():
-    if _sympy is not None:
-        return _sympy.Symbol("m", positive=True, integer=True)
-    return _Poly.m()
-
-
-def _evaluate(expr, m: int) -> int:
-    if _sympy is not None and isinstance(expr, _sympy.Basic):
-        return int(expr.subs({_sympy.Symbol("m", positive=True,
-                                            integer=True): m}))
-    if isinstance(expr, _Poly):
-        return expr.eval(m)
-    return int(expr)
-
-
-def backend() -> str:
-    """Which expression backend is active ("sympy" | "python")."""
-    return "sympy" if _sympy is not None else "python"
-
-
 class HandshakeModel:
     """Closed-form cost model for one scheme's handshake.
 
@@ -168,16 +140,15 @@ class HandshakeModel:
         if scheme not in SIGN_MODEXP:
             raise ValueError(f"unknown scheme {scheme!r} (expected '1'/'2')")
         self.scheme = scheme
-        m = _symbol_m()
-        self._m = m
+        m = _Poly.m()
         #: Per-party symbolic expressions.
         self.dgka_modexp = m + DGKA_CONST              # phase I
         self.phase3_modexp = (SIGN_MODEXP[scheme]
                               + VERIFY_MODEXP[scheme] * (m - 1))
         self.modexp = self.dgka_modexp + self.phase3_modexp
-        self.messages_sent = _const_expr(SENT_PER_PARTY)
+        self.messages_sent = _Poly.const(SENT_PER_PARTY)
         self.messages_received = SENT_PER_PARTY * (m - 1)
-        self.bytes_sent = _const_expr(BYTES_SENT_PER_PARTY[scheme])
+        self.bytes_sent = _Poly.const(BYTES_SENT_PER_PARTY[scheme])
         self.bytes_received = ((BYTES_SENT_PER_PARTY[scheme]
                                 + DELIVER_OVERHEAD) * (m - 1))
 
@@ -198,11 +169,11 @@ class HandshakeModel:
         if m < 2:
             raise ValueError("a handshake needs m >= 2")
         return {
-            "modexp": _evaluate(self.modexp, m),
-            "messages_sent": _evaluate(self.messages_sent, m),
-            "messages_received": _evaluate(self.messages_received, m),
-            "bytes_sent": _evaluate(self.bytes_sent, m),
-            "bytes_received": _evaluate(self.bytes_received, m),
+            "modexp": self.modexp.eval(m),
+            "messages_sent": self.messages_sent.eval(m),
+            "messages_received": self.messages_received.eval(m),
+            "bytes_sent": self.bytes_sent.eval(m),
+            "bytes_received": self.bytes_received.eval(m),
         }
 
     def per_room(self, m: int) -> Dict[str, int]:
@@ -267,12 +238,6 @@ class HandshakeModel:
         return mismatches
 
 
-def _const_expr(value: int):
-    if _sympy is not None:
-        return _sympy.Integer(value)
-    return _Poly.const(value)
-
-
 def capacity_report(*, scheme: str, mean_m: float, shards: int,
                     max_rooms_per_shard: Optional[int],
                     mean_room_lifetime_s: Optional[float],
@@ -307,7 +272,6 @@ def capacity_report(*, scheme: str, mean_m: float, shards: int,
         "mean_m": round(mean_m, 3),
         "room_modexp_at_mean_m": room_modexp,
         "modexp_per_party_expr": str(model.modexp),
-        "backend": backend(),
     }
     admission = None
     if max_rooms_per_shard is not None and mean_room_lifetime_s:
@@ -325,6 +289,6 @@ def capacity_report(*, scheme: str, mean_m: float, shards: int,
     return out
 
 
-__all__ = ["HandshakeModel", "capacity_report", "backend",
+__all__ = ["HandshakeModel", "capacity_report",
            "BYTES_TOLERANCE", "SIGN_MODEXP", "VERIFY_MODEXP",
            "BYTES_SENT_PER_PARTY", "DELIVER_OVERHEAD", "SENT_PER_PARTY"]

@@ -23,23 +23,11 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro import metrics
 from repro.load.generator import LoadConfig, RoomResult
-from repro.load.model import (
-    BYTES_TOLERANCE,
-    HandshakeModel,
-    backend,
-    capacity_report,
-)
+from repro.load.model import BYTES_TOLERANCE, HandshakeModel, capacity_report
+from repro.obs.telemetry import SHED_COUNTERS
 
 #: Histograms the report lifts from the driver's recorder.
 _DRIVER_HISTOGRAMS = ("load:admission-latency", "load:e2e-latency")
-
-#: Per-reason shed counters surfaced from the relay's STATUS document.
-BUSY_COUNTERS = (
-    "svc:busy:at-capacity",
-    "svc:busy:draining",
-    "svc-cluster:busy:draining",
-    "svc-cluster:busy:no-live-shards",
-)
 
 
 def build_report(config: LoadConfig, results: Sequence[RoomResult],
@@ -82,7 +70,7 @@ def build_report(config: LoadConfig, results: Sequence[RoomResult],
     relay_latency = None
     if status is not None:
         counters = status.get("counters") or {}
-        for name in BUSY_COUNTERS:
+        for name in SHED_COUNTERS:
             if counters.get(name):
                 busy[name] = counters[name]
         relay_latency = (status.get("histograms") or {}).get(
@@ -135,7 +123,6 @@ def build_report(config: LoadConfig, results: Sequence[RoomResult],
             if name.startswith("svc-client:") and value
         },
         "model": {
-            "backend": backend(),
             "expressions_per_party": model.expressions(),
             "predicted_totals": predicted,
             "measured_totals": measured,
@@ -210,7 +197,7 @@ def format_report(doc: Mapping[str, object]) -> str:
     verdict = "EXACT" if model["counts_exact"] else \
         f"{len(model['mismatches'])} MISMATCHES"
     lines.append(
-        f"model   : [{model['backend']}] modexp/party = "
+        "model   : modexp/party = "
         f"{model['expressions_per_party']['modexp']} — counts {verdict} "
         f"over {model['rooms_validated']} completed rooms "
         f"(bytes ±{model['bytes_tolerance']:.0%})")
@@ -271,4 +258,4 @@ def _format_timeline(timeline: Optional[Mapping[str, object]]) -> List[str]:
     return lines
 
 
-__all__ = ["build_report", "format_report", "BUSY_COUNTERS"]
+__all__ = ["build_report", "format_report"]

@@ -1,4 +1,4 @@
-"""``repro.obs`` — span tracing, exporters, and structured logging.
+"""``repro.obs`` — span tracing, exporters and STATUS telemetry.
 
 The observability subsystem layered on :mod:`repro.metrics` (which owns
 storage: counters, histograms and finished spans all live in the current
@@ -14,9 +14,6 @@ storage: counters, histograms and finished spans all live in the current
   and the ASCII timeline ``python -m repro trace`` renders, each built
   from per-process span sources (one for a single-process trace; client,
   router and ``shard:<i>`` for a cluster);
-* :func:`get_logger` / :func:`log_event` / :func:`configure_logging` —
-  JSON log lines with mandatory anonymity redaction
-  (:mod:`repro.obs.logging`);
 * :class:`TimeSeries` / :class:`StatusSampler` /
   :func:`prometheus_exposition` — STATUS time series with derived rates,
   the ``repro top`` dashboard and Prometheus text exposition
@@ -37,15 +34,6 @@ from repro.obs.export import (
     load_spans_jsonl,
     render_gantt,
     spans_jsonl,
-)
-from repro.obs.logging import (
-    JsonFormatter,
-    RedactionFilter,
-    configure as configure_logging,
-    get_logger,
-    log_event,
-    redact_fields,
-    unconfigure as unconfigure_logging,
 )
 from repro.obs.spans import (
     NOOP_SPAN,
@@ -72,6 +60,4 @@ __all__ = [
     "export_spans_jsonl", "load_spans_jsonl", "render_gantt",
     "TimeSeries", "StatusSampler",
     "prometheus_exposition", "write_prometheus_sample", "render_top",
-    "JsonFormatter", "RedactionFilter", "get_logger", "log_event",
-    "redact_fields", "configure_logging", "unconfigure_logging",
 ]

@@ -30,8 +30,9 @@ from repro import metrics
 #: imports.
 from repro.obs.export import export_chrome_trace as export_merged_trace
 
-#: Per-reason shed counters a time series tracks (superset of the load
-#: report's; unseen names simply stay at rate 0).
+#: Per-reason BUSY-shed counters, relay and router: what a time series
+#: tracks and the load report lifts from STATUS (unseen names simply
+#: stay at 0).
 SHED_COUNTERS = (
     "svc:busy:at-capacity",
     "svc:busy:draining",

@@ -243,15 +243,19 @@ def full_unlinkability_game(framework: GcdFramework, target: GcdMember,
 
     This is the experiment that separates Theorem 1 from Theorem 3: with
     ACJT (full-anonymity) the corrupted state gives no linking test, so
-    the adversary stays at chance; with the KTY variant the corrupted
-    tracing trapdoor ``x`` lets the adversary test ``T4 == T5^x`` on any
-    decrypted signature — which is exactly why Theorems 2/3 claim only
-    plain unlinkability.
+    the adversary guesses and stays at chance; with the KTY variant the
+    corrupted tracing trapdoor ``x`` lets the adversary test
+    ``T4 == T5^x`` on every decrypted signature.  The test is exact — a
+    match means the target signed, no match means it did not — so the
+    KTY adversary wins every trial, which is exactly why Theorems 2/3
+    claim only plain unlinkability.
     """
+    from repro.core import wire
     from repro.crypto.modmath import mexp
     from repro.gsig.kty import KtyCredential
 
     credential = target.credential  # O_Corrupt(target)
+    n = target.info.gsig_public_key.n
     wins = 0
     for _ in range(trials):
         bit = rng.randrange(2)
@@ -259,18 +263,18 @@ def full_unlinkability_game(framework: GcdFramework, target: GcdMember,
         outcomes = run_handshake([second, adversary_peer], policy, rng)
         transcript = outcomes[1].transcript
         k_prime = outcomes[1].k_prime or b""
-        # The inside adversary decrypts every theta it can and applies its
-        # corruption-powered test.
-        guess = rng.randrange(2)
-        if isinstance(credential, KtyCredential) and k_prime:
+        if not (isinstance(credential, KtyCredential) and k_prime):
+            guess = rng.randrange(2)        # no linking test: guess
+        else:
+            # The inside adversary decrypts every theta it can and
+            # applies its corruption-powered test.
+            guess = 1
             for entry in transcript.entries:
                 try:
                     blob = symmetric.decrypt(k_prime, entry.theta)
-                    from repro.core import wire as _wire
-                    signature = _wire.signature_from_bytes(blob)
+                    signature = wire.signature_from_bytes(blob)
                 except Exception:
                     continue
-                n = target.info.gsig_public_key.n
                 if mexp(signature.t5, credential.x, n) == signature.t4:
                     guess = 0
                     break

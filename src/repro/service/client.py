@@ -24,13 +24,15 @@ the room onto a live shard.  Failed outcomes carry
 transport, expired deadline) rather than a protocol verdict.
 
 Observability (docs/OBSERVABILITY.md): connect attempts and handshakes
-are span-traced (``connect`` / ``handshake`` with ``transport="socket"``),
-admission wait (call entry -> ROOM_READY, including connect retries and
-backoff sleeps) feeds ``svc-client:admission-wait`` and handshake latency
-(admission -> outcome) feeds ``hs:latency`` — both on the loop clock, the
-same clock the deadline machinery uses — and lifecycle
-events (retries, aborts, outcomes) go through the redacting structured
-logger — identified by roster index and random room token only.
+are span-traced (``connect`` / ``handshake`` with ``transport="socket"``).
+A failed ``connect`` span carries the error class; the ``handshake``
+span ends with ``outcome``, ``retryable`` and, for an ABORT, the
+``reason`` — one of the relay's own abort reasons, else ``other``, since
+the relay is untrusted.  Retries, aborts and errors are ``svc-client:*``
+counters.  Admission wait (call entry -> ROOM_READY, including connect
+retries and backoff sleeps) feeds ``svc-client:admission-wait`` and
+handshake latency (admission -> outcome) feeds ``hs:latency`` — both on
+the loop clock, the same clock the deadline machinery uses.
 :func:`query_status` fetches the live telemetry snapshot a running relay
 serves on the STATUS control query.
 """
@@ -49,11 +51,8 @@ from repro.core.handshake import HandshakeOutcome, HandshakePolicy
 from repro.errors import EncodingError, ProtocolError, TransportError
 from repro.net.runner import HandshakeDevice, SessionPlan
 from repro.net.simulator import BROADCAST, Message
-from repro.obs import logging as obslog
 from repro.obs import spans as obs
 from repro.service import framing, protocol
-
-_log = obslog.get_logger("repro.service.client")
 
 
 @dataclass
@@ -132,14 +131,49 @@ class _SessionRetry(Exception):
         self.reason = reason
 
 
-#: Abort reasons the client answers by rejoining (the room's host is going
-#: away; a fresh HELLO reaches a live server / gets re-placed by a router).
-_RETRYABLE_ABORTS = frozenset({"server-shutdown"})
+#: The abort reasons a relay sends, each with the client's answer:
+#: ``rejoin`` — the room's host is going away, so re-send HELLO in place
+#: (a fresh HELLO reaches a live server or is re-placed by a router);
+#: ``retryable`` — a terminal outcome for *this* call, but environmental
+#: (nobody showed up; peers may well arrive on a later attempt);
+#: ``final`` — a terminal, non-retryable outcome.  Any other reason is
+#: final too, and spans record it as ``other``: it came from an untrusted
+#: relay and may quote anything, the rendezvous name included.
+_ABORTS = {
+    "server-shutdown": "rejoin",
+    "fill-timeout": "retryable",
+    "handshake-timeout": "final",
+    "peer-disconnect": "final",
+    "peer-left-while-filling": "final",
+}
 
-#: Abort reasons that yield a terminal outcome for *this* call but are
-#: environmental, so the outcome is flagged ``retryable=True`` for the
-#: caller: nobody showed up — peers may well arrive on a later attempt.
-_RETRYABLE_OUTCOME_ABORTS = frozenset({"fill-timeout"})
+
+def _on_abort(message: protocol.Abort, state: dict) -> str:
+    """Answer an ABORT: raise :class:`_SessionRetry` for a rejoin, else
+    flag ``state`` retryable or not and return the reason a span may
+    record."""
+    metrics.bump("svc-client:room-aborts")
+    action = _ABORTS.get(message.reason)
+    if action == "rejoin":
+        raise _SessionRetry("rejoin-retries", message.reason)
+    state["retryable"] = action == "retryable"
+    return message.reason if action else "other"
+
+
+def _span_exit(exc: BaseException, deadline_passed: bool) -> dict:
+    """The ``handshake`` span's closing attributes for an exception that
+    leaves it, classified as :func:`join_room` classifies the outcome."""
+    if isinstance(exc, _SessionRetry):
+        return {"outcome": "abort", "reason": exc.reason, "retryable": True}
+    if isinstance(exc, asyncio.CancelledError):
+        return {"outcome": "deadline" if deadline_passed else "cancelled",
+                "retryable": True}
+    if isinstance(exc, (TransportError, ConnectionError, OSError,
+                        EncodingError, asyncio.IncompleteReadError)):
+        return {"outcome": "transport-error", "retryable": True}
+    if isinstance(exc, ProtocolError):
+        return {"outcome": "protocol-error", "retryable": False}
+    return {"outcome": "internal-error", "retryable": False}
 
 
 class _DeviceLink:
@@ -201,11 +235,9 @@ async def _connect(config: ClientConfig, rng: random.Random,
                 if delay is None:        # deadline exhausted: stop early
                     break
                 metrics.bump("svc-client:retries")
-                obslog.log_event(_log, "connect-retry", attempt=attempts,
-                                 delay_s=round(delay, 4),
-                                 error=type(exc).__name__)
                 await asyncio.sleep(delay)
-        span.end(attempts=attempts, failed=True)
+        span.end(attempts=attempts, failed=True,
+                 error=type(last_error).__name__)
     raise TransportError(
         f"could not connect to {config.host}:{config.port} after "
         f"{attempts} attempts: {last_error}")
@@ -279,8 +311,6 @@ async def _join_with_retries(member, config: ClientConfig,
                                deadline_at)
         except _SessionRetry as retry:
             metrics.bump(f"svc-client:{retry.counter}")
-            obslog.log_event(_log, "session-retry", counter=retry.counter,
-                             retry_reason=retry.reason)
             state["index"] = -1        # any prior index died with its room
             delay = backoff.next_delay(loop.time())
             if delay is None:
@@ -293,7 +323,7 @@ async def _join_with_retries(member, config: ClientConfig,
 async def _join(member, config: ClientConfig,
                 policy: Optional[HandshakePolicy],
                 rng: random.Random, state: dict,
-                deadline_at: Optional[float] = None) -> HandshakeOutcome:
+                deadline_at: float) -> HandshakeOutcome:
     state["retryable"] = False
     trace_ctx = state.get("trace") or ""
     reader, writer = await _connect(config, rng, deadline_at,
@@ -335,57 +365,58 @@ async def _join(member, config: ClientConfig,
         hs_started = loop.time()
         with obs.span("handshake", trace=trace_ctx or None, m=welcome.m,
                       transport="socket", party=welcome.index,
-                      token=ready.token):
-            with metrics.scope(device.metrics_scope):
-                device.start()
-            await _flush(writer, link)
+                      token=ready.token) as span:
+            try:
+                with metrics.scope(device.metrics_scope):
+                    device.start()
+                await _flush(writer, link)
 
-            while device.outcome is None:
-                blob = await framing.read_frame(reader, config.max_frame)
-                if blob is None:
-                    # Server closed mid-handshake: the room died under us.
-                    # Environmental, so the outcome is flagged retryable —
-                    # but we do NOT rejoin in place: the peers saw the same
-                    # loss and this room's membership is gone for good.
-                    state["retryable"] = True
-                    break
-                message = protocol.decode_message(blob)
-                if isinstance(message, protocol.Deliver):
-                    delivered = Message(
-                        msg_id=next(msg_ids), sender=None,
-                        recipient=device.name, channel=plan.channel,
-                        payload=_retuple(message.payload))
-                    with metrics.scope(device.metrics_scope):
-                        metrics.bump(f"received:{device.name}")
-                        device.receive(delivered,
-                                       len(blob) + framing.HEADER_SIZE)
-                    await _flush(writer, link)
-                elif isinstance(message, protocol.Migrated):
-                    # Live migration: the room moved to a peer shard and
-                    # resumes exactly where it stopped.  Informational —
-                    # same connection, same index, no crypto redone; keep
-                    # reading.
-                    metrics.bump("svc-client:migrations")
-                    obslog.log_event(_log, "room-migrated",
-                                     party=welcome.index, token=ready.token)
-                elif isinstance(message, protocol.Abort):
-                    metrics.bump("svc-client:room-aborts")
-                    obslog.log_event(_log, "room-abort",
-                                     party=welcome.index, token=ready.token,
-                                     abort_reason=message.reason)
-                    if message.reason in _RETRYABLE_ABORTS:
-                        raise _SessionRetry("rejoin-retries", message.reason)
-                    state["retryable"] = (
-                        message.reason in _RETRYABLE_OUTCOME_ABORTS)
-                    break
-                elif isinstance(message, protocol.Error):
-                    metrics.bump("svc-client:server-errors")
-                    obslog.log_event(_log, "server-error",
-                                     party=welcome.index, token=ready.token)
-                    break
-                else:
-                    raise ProtocolError(
-                        f"unexpected {type(message).__name__} from server")
+                while device.outcome is None:
+                    blob = await framing.read_frame(reader, config.max_frame)
+                    if blob is None:
+                        # The room died under us.  Environmental, so the
+                        # outcome is flagged retryable — but we do NOT
+                        # rejoin in place: the peers saw the same loss
+                        # and this room's membership is gone for good.
+                        state["retryable"] = True
+                        ending = {"outcome": "eof"}
+                        break
+                    message = protocol.decode_message(blob)
+                    if isinstance(message, protocol.Deliver):
+                        delivered = Message(
+                            msg_id=next(msg_ids), sender=None,
+                            recipient=device.name, channel=plan.channel,
+                            payload=message.payload)
+                        with metrics.scope(device.metrics_scope):
+                            metrics.bump(f"received:{device.name}")
+                            device.receive(delivered,
+                                           len(blob) + framing.HEADER_SIZE)
+                        await _flush(writer, link)
+                    elif isinstance(message, protocol.Migrated):
+                        # Live migration: the room moved to a peer shard
+                        # and resumes exactly where it stopped — same
+                        # connection, same index, no crypto redone.
+                        metrics.bump("svc-client:migrations")
+                    elif isinstance(message, protocol.Abort):
+                        ending = {"outcome": "abort",
+                                  "reason": _on_abort(message, state)}
+                        break
+                    elif isinstance(message, protocol.Error):
+                        # Its text may quote the rendezvous name: the span
+                        # records only that an ERROR came.
+                        metrics.bump("svc-client:server-errors")
+                        ending = {"outcome": "error"}
+                        break
+                    else:
+                        raise ProtocolError(
+                            f"unexpected {type(message).__name__} from server")
+                if device.outcome is not None:
+                    ending = {"outcome": "success" if device.outcome.success
+                              else "failure"}
+            except BaseException as exc:
+                span.end(**_span_exit(exc, loop.time() >= deadline_at))
+                raise
+            span.end(retryable=state["retryable"], **ending)
 
         metrics.observe("hs:latency", loop.time() - hs_started)
         if device.outcome is not None:
@@ -393,13 +424,9 @@ async def _join(member, config: ClientConfig,
                 await _send(writer, protocol.Done(), config.max_frame)
             except (ConnectionError, OSError):
                 pass        # outcome already decided; DONE is best-effort
-        outcome = device.outcome or HandshakeOutcome(
+        return device.outcome or HandshakeOutcome(
             index=device.index, success=False,
             retryable=state["retryable"])
-        obslog.log_event(_log, "outcome", party=welcome.index,
-                         token=ready.token, success=outcome.success,
-                         latency_s=round(loop.time() - hs_started, 6))
-        return outcome
     finally:
         try:
             writer.close()
@@ -416,16 +443,6 @@ async def _flush(writer: asyncio.StreamWriter, link: _DeviceLink) -> None:
         writer.write(frame)
     link.outbox.clear()
     await writer.drain()
-
-
-def _retuple(value):
-    """Wire tuples survive the codec as tuples already; normalise any
-    nested lists defensively so device payload checks hold."""
-    if isinstance(value, list):
-        return tuple(_retuple(v) for v in value)
-    if isinstance(value, tuple):
-        return tuple(_retuple(v) for v in value)
-    return value
 
 
 async def _send(writer: asyncio.StreamWriter, message,
@@ -460,10 +477,7 @@ async def _expect(reader: asyncio.StreamReader, config: ClientConfig,
         if isinstance(message, protocol.Busy):
             raise _SessionRetry("busy-retries", message.reason)
         if isinstance(message, protocol.Abort):
-            metrics.bump("svc-client:room-aborts")
-            if message.reason in _RETRYABLE_ABORTS:
-                raise _SessionRetry("rejoin-retries", message.reason)
-            state["retryable"] = message.reason in _RETRYABLE_OUTCOME_ABORTS
+            _on_abort(message, state)
             return None
         if isinstance(message, protocol.Error):
             metrics.bump("svc-client:room-aborts")

@@ -31,21 +31,19 @@ whenever its relay loop runs, so relayed messages are attributable per
 room and a checkpoint reads the room's book alone; a room's wall time is
 the ``svc:room-lifetime`` histogram plus the ``room`` span; per-frame
 relay latency feeds the ``svc:relay-latency`` histogram; room lifecycle
-(fill → relay) is span-traced when tracing is on; a closed room leaves
-the registry at once, keeping only the STATUS tallies and, for the
-newest :data:`OUTCOMES_KEEP` rooms, its outcome; structured JSON logs go
-through :mod:`repro.obs.logging` with the
-anonymity redaction rule (random room tokens and roster indices only —
-never rendezvous names, member identifiers, or payload bytes); and a
-one-shot ``STATUS`` control query (see :meth:`RendezvousServer.status`)
-returns live room counts, queue depths and histogram snapshots from a
-running relay.
+(fill → relay) is span-traced when tracing is on, the ``room`` span
+ending with the room's outcome and naming the room by its random token
+only — never its rendezvous name, a member identifier or payload bytes;
+a closed room leaves the registry at once, keeping only the STATUS
+tallies and, for the newest :data:`OUTCOMES_KEEP` rooms, its outcome;
+and a one-shot ``STATUS`` control query (see
+:meth:`RendezvousServer.status`) returns live room counts, queue depths
+and histogram snapshots from a running relay.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 import json
 import random
 import secrets
@@ -57,12 +55,9 @@ from repro import accel, metrics, revocation
 from repro.errors import EncodingError, ProtocolError
 from repro.gate import checkpoint as gate_checkpoint
 from repro.gate.checkpoint import RoomCheckpoint
-from repro.obs import logging as obslog
 from repro.obs import spans as obs
 from repro.service import framing, protocol
 from repro.service.faults import FaultInjector
-
-_log = obslog.get_logger("repro.service.server")
 
 #: Relay-queue sentinel: "every frame before this has been fanned out and
 #: no more are coming — snapshot the room now" (drain-migration quiesce).
@@ -104,9 +99,8 @@ class _Connection:
 
     _CLOSE = object()
 
-    def __init__(self, conn_id: int, reader: asyncio.StreamReader,
+    def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter, limit: int) -> None:
-        self.conn_id = conn_id
         self.reader = reader
         self.writer = writer
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=limit)
@@ -158,8 +152,6 @@ class _Connection:
             self.queue.put_nowait(framing.encode_frame(blob))
         except asyncio.QueueFull:
             metrics.bump("svc:send-queue-drops")
-            obslog.log_event(_log, "send-queue-drop", conn=self.conn_id,
-                             frame=type(message).__name__)
 
     def close(self) -> None:
         """Ask the writer task to flush queued frames then close."""
@@ -266,8 +258,6 @@ class _Room:
         self._span_stage = obs.start_span("room:relay",
                                           parent=self._span_root,
                                           token=self.token)
-        obslog.log_event(_log, "room-active", token=self.token, m=self.m,
-                         fill_s=round(time.perf_counter() - self.opened_at, 6))
         self.relay_deadline = (asyncio.get_running_loop().time()
                                + self.server.config.handshake_timeout)
         for conn in self.members:
@@ -417,10 +407,6 @@ class _Room:
             self.restore_timer = None
         self._span_stage.end()
         self._span_root.end(outcome=outcome)
-        obslog.log_event(_log, "room-closed", token=self.token,
-                         outcome=outcome, members=len(self.members),
-                         lifetime_s=round(
-                             time.perf_counter() - self.opened_at, 6))
         self.server._room_closed(self)
         if self.relay_task is not None and self.relay_task is not asyncio.current_task():
             self.relay_task.cancel()
@@ -531,8 +517,6 @@ class _Room:
             self._span_stage = obs.start_span("room:fill",
                                               parent=self._span_root,
                                               token=self.token)
-            obslog.log_event(_log, "room-resumed", token=self.token,
-                             state=self.state, members=len(self.members))
             if len(self.members) == self.m:
                 # Roster completed while we were still restoring (a new
                 # member HELLOed between restore and the last attach).
@@ -547,9 +531,6 @@ class _Room:
         self._span_stage = obs.start_span("room:relay",
                                           parent=self._span_root,
                                           token=self.token)
-        obslog.log_event(_log, "room-resumed", token=self.token,
-                         state=self.state, relayed=self.relayed,
-                         pending=self.queue.qsize())
         if len(self.done) == self.m:
             # Every member had concluded before the move; close out.
             self._complete()
@@ -589,7 +570,6 @@ class RendezvousServer:
         self._outcomes: Dict[str, str] = {}    # newest OUTCOMES_KEEP only
         self._handlers: set = set()
         self._connections: set = set()         # live _Connection objects
-        self._conn_ids = itertools.count(1)
         self._accepting = False
         self._started = 0.0
         #: Cluster hook (set by the shard worker): called with
@@ -605,7 +585,6 @@ class RendezvousServer:
             self._handle, self.config.host, self.config.port)
         self._accepting = True
         self._started = time.perf_counter()
-        obslog.log_event(_log, "server-start", port=self.port)
         return self
 
     async def __aenter__(self) -> "RendezvousServer":
@@ -710,32 +689,24 @@ class RendezvousServer:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
-        conn = _Connection(next(self._conn_ids), reader, writer,
-                           self.config.send_queue_limit)
+        conn = _Connection(reader, writer, self.config.send_queue_limit)
         self._handlers.add(asyncio.current_task())
         self._connections.add(conn)
         metrics.bump("svc:accepts")
-        obslog.log_event(_log, "accept", conn=conn.conn_id)
         conn.start_writer()
         try:
             await self._session(conn)
         except (EncodingError, ProtocolError) as exc:
             metrics.bump("svc:protocol-errors")
             metrics.bump("svc:error-frames")
-            # Only the error *class* is logged: ProtocolError messages can
-            # quote the client-chosen rendezvous name, which must not
-            # appear in telemetry (the wire Error frame still carries it —
-            # that goes to the offending client only).
-            obslog.log_event(_log, "protocol-error", conn=conn.conn_id,
-                             error=type(exc).__name__)
+            # The Error frame may quote the client-chosen rendezvous name;
+            # it goes to the offending client only, never into telemetry.
             conn.send_best_effort(protocol.Error(reason=str(exc)))
         except (ConnectionError, OSError, asyncio.IncompleteReadError):
             metrics.bump("svc:connection-lost")
-            obslog.log_event(_log, "connection-lost", conn=conn.conn_id)
         except asyncio.TimeoutError:
             metrics.bump("svc:idle-timeouts")
             metrics.bump("svc:error-frames")
-            obslog.log_event(_log, "idle-timeout", conn=conn.conn_id)
             conn.send_best_effort(protocol.Error(reason="idle timeout"))
         except asyncio.CancelledError:
             pass
@@ -787,8 +758,6 @@ class RendezvousServer:
             # router, gets re-placed onto a live shard).
             metrics.bump("svc:busy-sheds")
             metrics.bump("svc:busy:draining")
-            obslog.log_event(_log, "busy-shed", conn=conn.conn_id,
-                             busy_reason="draining")
             await conn.send(protocol.Busy(reason="draining"))
             return
         room = self._filling.get(hello.room)
@@ -797,8 +766,6 @@ class RendezvousServer:
                     and len(self._rooms) >= self.config.max_rooms):
                 metrics.bump("svc:busy-sheds")
                 metrics.bump("svc:busy:at-capacity")
-                obslog.log_event(_log, "busy-shed", conn=conn.conn_id,
-                                 busy_reason="at-capacity")
                 await conn.send(protocol.Busy(reason="at-capacity"))
                 return
             # The opening member's trace context (if any) becomes the
@@ -936,8 +903,5 @@ class RendezvousServer:
             room.relay_deadline = loop.time() + remaining
             room.restore_timer = loop.call_later(
                 remaining, room._restore_timeout)
-        obslog.log_event(_log, "room-restored", token=checkpoint.token,
-                         state=checkpoint.state, members=checkpoint.members,
-                         pending=len(checkpoint.pending))
         return {"token": checkpoint.token, "state": checkpoint.state,
                 "members": checkpoint.members}

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import metrics
 from repro.core import wire
-from repro.core.handshake import HandshakePolicy, run_handshake
+from repro.core.handshake import (HandshakeDevice, HandshakePolicy,
+                                  SessionPlan, run_handshake)
 from repro.core.scheme1 import scheme1_policy
 from repro.core.scheme2 import scheme2_policy
 from repro.core.transcript import HandshakeEntry, HandshakeTranscript
-from repro.errors import EncodingError
+from repro.errors import EncodingError, ProtocolError
+from repro.net.simulator import Message
 
 
 class TestWireFuzzing:
@@ -39,6 +42,72 @@ class TestWireFuzzing:
         for cut in (1, len(blob) // 2, len(blob) - 1):
             with pytest.raises(EncodingError):
                 wire.signature_from_bytes(blob[:cut])
+
+
+#: Field values a hostile peer might put anywhere in a payload.
+_FIELDS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4),
+    st.integers(min_value=2 ** 70, max_value=2 ** 72),
+    st.binary(max_size=6), st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=5).map(tuple),
+    st.lists(st.binary(max_size=2), max_size=2),
+)
+
+
+class _Outbox:
+    def send(self, sender, recipient, payload, channel="p2p"):
+        pass
+
+
+class TestPeerPayloadCheck:
+    """Peer payloads are outside input: whatever a peer broadcasts, the
+    device drops and counts it or takes a well-shaped frame — the only
+    exception out of it is a DGKA's own ``ProtocolError`` verdict on a
+    well-shaped frame's body."""
+
+    @given(payload=st.one_of(
+        st.tuples(st.sampled_from(["dgka", "tag", "phase3", "hello"]),
+                  st.sampled_from(["room", "elsewhere", 7]),
+                  st.lists(_FIELDS, max_size=4)).map(
+            lambda t: (t[0], t[1], *t[2])),
+        _FIELDS))
+    @settings(max_examples=150, deadline=None)
+    def test_no_peer_payload_escapes_the_device(self, scheme1_world,
+                                                payload):
+        member = scheme1_world.members["alice"]
+        plan = SessionPlan(session_id="room",
+                           roster=("device-0", "device-1", "device-2"))
+        device = HandshakeDevice("device-0", member, plan, scheme1_policy(),
+                                 random.Random(1))
+        device.attached(_Outbox())
+        recorder = metrics.Recorder()
+        with metrics.using(recorder):
+            device.start()
+            try:
+                device.on_message(Message(msg_id=1, sender=None,
+                                          recipient="device-0",
+                                          channel=plan.channel,
+                                          payload=payload))
+            except ProtocolError:
+                assert payload[0] == "dgka" and device._well_formed(payload)
+        dropped = recorder.total().extra.get("hs:malformed-frames", 0)
+        assert dropped == (0 if device._well_formed(payload) else 1)
+
+    def test_the_checked_shapes(self, scheme1_world):
+        plan = SessionPlan(session_id="room", roster=("device-0", "device-1"))
+        device = HandshakeDevice("device-0", scheme1_world.members["alice"],
+                                 plan, scheme1_policy(), random.Random(1))
+        good = [("dgka", "room", 1, 1, 12345), ("tag", "room", 1, b"t"),
+                ("phase3", "room", 1, b"theta", (1, 2, 3, 4))]
+        bad = [("dgka", "room"), ("phase3", "room", 1, b"theta", 5),
+               ("dgka", "room", 2, 1, 5), ("dgka", "room", 0, 2, 5),
+               ("tag", "room", True, b"t"), ("tag", "room", 1, "t"),
+               ("phase3", "room", 1, "theta", (1, 2, 3, 4)),
+               ("phase3", "room", 1, b"theta", (1, 2, 3)),
+               ("phase3", "room", 1, b"theta", [1, 2, 3, 4]),
+               ("tag", "elsewhere", 1, b"t"), ("done", "room"), 5]
+        assert all(device._well_formed(p) for p in good)
+        assert not any(device._well_formed(p) for p in bad)
 
 
 class TestTamperedTranscripts:

@@ -1,5 +1,5 @@
-"""The symbolic capacity model: closed forms, both backends, validation
-strictness, and the capacity inversion."""
+"""The symbolic capacity model: closed forms, the polynomial type,
+validation strictness, and the capacity inversion."""
 
 import random
 
@@ -11,12 +11,7 @@ from repro.core.handshake import run_handshake
 from repro.core.scheme1 import scheme1_policy
 from repro.core.scheme2 import scheme2_policy
 from repro.load import model as model_module
-from repro.load.model import (
-    BYTES_TOLERANCE,
-    HandshakeModel,
-    backend,
-    capacity_report,
-)
+from repro.load.model import BYTES_TOLERANCE, HandshakeModel, capacity_report
 from repro.revocation import RevocationService
 
 
@@ -132,18 +127,7 @@ class TestValidation:
 
 
 class TestPythonBackend:
-    """The sympy-free fallback must produce identical numbers."""
-
-    def test_fallback_matches_sympy(self, monkeypatch):
-        reference = {s: HandshakeModel(s).per_party(6) for s in ("1", "2")}
-        expressions = {s: HandshakeModel(s).expressions()
-                       for s in ("1", "2")}
-        monkeypatch.setattr(model_module, "_sympy", None)
-        assert backend() == "python"
-        for scheme in ("1", "2"):
-            model = HandshakeModel(scheme)
-            assert model.per_party(6) == reference[scheme]
-            assert model.expressions() == expressions[scheme]
+    """The closed forms' one expression type."""
 
     def test_poly_arithmetic(self):
         m = model_module._Poly.m()

@@ -1,21 +1,22 @@
 """Service-layer observability: the STATUS introspection query, error-path
-metrics, room lifecycle spans, and proof that structured logs from a real
-socket handshake leak neither member identifiers nor payload bytes."""
+metrics, room lifecycle spans, the reasons a socket handshake span ends
+with, and proof that the client and relay spans of real socket rooms leak
+neither member identifiers, rendezvous names nor payload bytes."""
 
 import asyncio
-import io
 import json
-import logging
+import random
+import re
 
 import pytest
 
 from repro import metrics
 from repro.core.scheme1 import scheme1_policy
-from repro.obs import logging as obslog
 from repro.service import (
     ClientConfig,
     RendezvousServer,
     ServerConfig,
+    framing,
     join_room,
     protocol,
     query_status,
@@ -134,7 +135,6 @@ class TestErrorPathMetrics:
                     reader, writer = await asyncio.open_connection(
                         "127.0.0.1", server.port)
                     # DONE before HELLO is a protocol violation.
-                    from repro.service import framing
                     await framing.write_frame(
                         writer,
                         protocol.encode_message(protocol.Done()),
@@ -204,41 +204,139 @@ class TestRoomSpans:
             assert "spanroom" not in str(sorted(s.attrs.items()))
 
 
-class TestLogRedaction:
-    def test_socket_handshake_logs_leak_nothing(self, lineup):
-        """The proof test: run a real 5-party socket handshake with JSON
-        logging on, then scan every emitted line for member identifiers,
-        the rendezvous name, and payload/key material."""
-        stream = io.StringIO()
-        obslog.configure(level=logging.DEBUG, stream=stream)
-        try:
-            async def scenario():
-                rec = metrics.Recorder()
-                with metrics.using(rec):
-                    async with RendezvousServer(ServerConfig()) as server:
-                        cfg = ClientConfig(port=server.port,
-                                           room="secret-society-meeting",
-                                           m=len(lineup))
-                        return await run_room(lineup, cfg, scheme1_policy())
+class TestHandshakeSpanEnding:
+    """The socket client's ``handshake`` span ends with why the handshake
+    ended: ``outcome``, ``retryable`` and, for an ABORT, the ``reason``."""
 
-            outcomes = _run(scenario())
-        finally:
-            obslog.unconfigure()
+    def test_peer_leaving_mid_handshake_reads_peer_disconnect(
+            self, lineup):
+        outcome, rows = _traced(lambda: _peer_leaves(lineup[0],
+                                                     "secret-peer-drop"))
+        assert not outcome.success and not outcome.retryable
+        (ending,) = _handshake_endings(rows)
+        assert ending == {"outcome": "abort", "reason": "peer-disconnect",
+                          "retryable": False}
+
+    def test_abort_reason_outside_the_relays_own_reads_other(self, lineup):
+        """The relay is untrusted: an ABORT quoting the rendezvous name
+        must not carry it into the span."""
+        outcome, rows = _traced(lambda: _fake_relay_aborts(
+            lineup[0], "secret-abort-name"))
+        assert not outcome.success and not outcome.retryable
+        (ending,) = _handshake_endings(rows)
+        assert ending == {"outcome": "abort", "reason": "other",
+                          "retryable": False}
+
+
+class TestSpanLeakScan:
+    def test_client_and_relay_spans_leak_nothing(self, lineup):
+        """The proof test: a traced 5-party socket room plus the two
+        failing rooms above, client and relay spans as ``as_dict()``
+        rows.  No row names a member or a rendezvous room, and none
+        carries a long hex run (key or payload material)."""
+        rows = []
+
+        async def full_room():
+            async with RendezvousServer(ServerConfig()) as server:
+                cfg = ClientConfig(port=server.port,
+                                   room="secret-society-meeting",
+                                   m=len(lineup))
+                return await run_room(lineup, cfg, scheme1_policy())
+
+        outcomes, spans = _traced(full_room)
         assert all(o.success for o in outcomes)
-        text = stream.getvalue()
-        lines = [json.loads(line) for line in text.splitlines()]
-        assert lines, "expected structured log output"
-        # Member identifiers (the service_world fixture enrols p0..p4).
-        for ident in (getattr(m, "user_id", None) for m in lineup):
-            if ident:
-                assert ident not in text
-        # The out-of-band rendezvous name.
-        assert "secret-society-meeting" not in text
-        # Session keys, payload bytes: no long hex runs anywhere.  Room
-        # tokens are 16 hex chars and allowed; anything >=32 is material.
-        import re
-        for run in re.findall(r"[0-9a-f]{20,}", text):
-            pytest.fail(f"suspicious hex material in logs: {run[:40]}…")
-        # The expected lifecycle events did fire.
-        events = {doc["event"] for doc in lines}
-        assert {"accept", "room-active", "room-closed", "outcome"} <= events
+        endings = _handshake_endings(spans)
+        assert endings == [{"outcome": "success", "retryable": False}] * 5
+        assert {row["name"] for row in spans} >= {"room", "room:relay",
+                                                  "handshake", "connect"}
+        rows += spans
+        rows += _traced(lambda: _peer_leaves(lineup[0],
+                                             "secret-peer-drop"))[1]
+        rows += _traced(lambda: _fake_relay_aborts(
+            lineup[0], "secret-abort-name"))[1]
+
+        text = json.dumps(rows)
+        for member in lineup:
+            assert member.user_id not in text
+        for name in ("secret-society-meeting", "secret-peer-drop",
+                     "secret-abort-name"):
+            assert name not in text
+        for row in rows:
+            for key, value in row.items():
+                for item in (key, value):
+                    if isinstance(item, str):
+                        assert not _MATERIAL.search(item), (key, item[:40])
+                    elif isinstance(item, int) and not isinstance(item, bool):
+                        assert abs(item) < 1 << 64, key
+
+
+#: Room tokens and trace ids are 16 hex chars; a run of 20 or more is key
+#: or payload material.  Floats (timestamps, durations) are not scanned:
+#: their digit runs are not material.
+_MATERIAL = re.compile(r"[0-9a-f]{20,}")
+
+
+def _traced(scenario):
+    """Run ``scenario()`` under a tracing recorder: its result and every
+    finished span, client and relay alike, as an ``as_dict()`` row."""
+    recorder = metrics.Recorder()
+    recorder.tracing = True
+
+    async def run():
+        with metrics.using(recorder):
+            return await scenario()
+
+    result = _run(run())
+    return result, [span.as_dict() for span in recorder.spans()]
+
+
+def _handshake_endings(rows):
+    """The ending attributes of every ``handshake`` span, by party."""
+    return [{key[5:]: row[key]
+             for key in ("attr.outcome", "attr.reason", "attr.retryable")
+             if key in row}
+            for row in sorted(rows, key=lambda r: r.get("attr.party", -1))
+            if row["name"] == "handshake"]
+
+
+async def _peer_leaves(member, room):
+    """``member`` joins ``room`` with :func:`join_room`; a raw protocol
+    peer takes the second seat and hangs up once the room is active."""
+    async with RendezvousServer(ServerConfig()) as server:
+        cfg = ClientConfig(port=server.port, room=room, m=2, deadline=20.0)
+        joined = asyncio.Event()
+        honest = asyncio.ensure_future(join_room(
+            member, cfg, scheme1_policy(), random.Random(5), joined=joined))
+        await joined.wait()
+        reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                       server.port)
+        await framing.write_frame(writer, protocol.encode_message(
+            protocol.Hello(room=room, m=2)))
+        for expected in (protocol.Welcome, protocol.RoomReady):
+            frame = await framing.read_frame(reader)
+            assert isinstance(protocol.decode_message(frame), expected)
+        writer.close()
+        return await honest
+
+
+async def _fake_relay_aborts(member, room):
+    """A fake relay admits ``member`` to ``room``, then aborts the room
+    with the rendezvous name as its reason."""
+    async def relay(reader, writer):
+        await framing.read_frame(reader)                 # the HELLO
+        for message in (protocol.Welcome(room, 0, 2),
+                        protocol.RoomReady(room, "ab" * 8, 2),
+                        protocol.Abort(reason=room)):
+            await framing.write_frame(writer,
+                                      protocol.encode_message(message))
+        await reader.read()                 # until the client hangs up
+        writer.close()
+
+    server = await asyncio.start_server(relay, "127.0.0.1", 0)
+    try:
+        cfg = ClientConfig(port=server.sockets[0].getsockname()[1],
+                           room=room, m=2, deadline=10.0)
+        return await join_room(member, cfg, scheme1_policy())
+    finally:
+        server.close()
+        await server.wait_closed()

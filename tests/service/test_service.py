@@ -280,6 +280,51 @@ class TestRobustness:
         assert outcome.index == 0
         assert snap["total"].extra["svc-client:protocol-errors"] == 1
 
+    @pytest.mark.parametrize("malformed", [
+        lambda token: ("dgka", token),
+        lambda token: ("phase3", token, 1, b"theta", 5),
+    ], ids=["dgka-without-fields", "phase3-int-delta"])
+    def test_malformed_peer_payload_is_a_failed_outcome(self, scheme1_world,
+                                                        malformed):
+        """A raw peer broadcasts a handshake payload that does not unpack.
+        The honest party drops and counts it, then returns a failed
+        outcome by its deadline instead of raising out of ``join_room``."""
+        member = _lineup(scheme1_world, 1)[0]
+        deadline = 2.0
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            recorder = metrics.Recorder()
+            async with RendezvousServer(ServerConfig()) as server:
+                cfg = ClientConfig(port=server.port, room="hostile", m=2,
+                                   deadline=deadline)
+                joined = asyncio.Event()
+                started = loop.time()
+                with metrics.using(recorder):
+                    honest = asyncio.ensure_future(join_room(
+                        member, cfg, scheme1_policy(), random.Random(3),
+                        joined=joined))
+                await joined.wait()
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                await framing.write_frame(writer, protocol.encode_message(
+                    protocol.Hello(room="hostile", m=2)))
+                await framing.read_frame(reader)                 # WELCOME
+                ready = protocol.decode_message(
+                    await framing.read_frame(reader))
+                await framing.write_frame(writer, protocol.encode_message(
+                    protocol.Broadcast(payload=malformed(ready.token))))
+                outcome = await honest
+                elapsed = loop.time() - started
+                writer.close()
+            return outcome, elapsed, recorder.snapshot()
+
+        outcome, elapsed, snap = _run(scenario())
+        assert not outcome.success and outcome.index == 0
+        assert elapsed < deadline + 1.0
+        assert snap["total"].extra["hs:malformed-frames"] == 1
+        assert snap["total"].extra["svc-client:deadline-expired"] == 1
+
     def test_shutdown_aborts_filling_room(self, scheme1_world):
         member = _lineup(scheme1_world, 1)[0]
 
